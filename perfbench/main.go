@@ -40,12 +40,10 @@ type metric struct {
 // endToEnd are printed with --trace 0, from untraced repeats.
 var endToEnd = []metric{
 	{"setup_s", "s"},
-	{"run_s", "s"},
-	{"tasks_per_s", "1/s"},
+	{"run_ref", "ref"},
 	{"allocs_per_task", "count"},
 	{"alloc_bytes_per_task", "bytes"},
 	{"peak_rss_mb", "MiB"},
-	{"cpu_share", "ratio"},
 }
 
 // perLayer are printed with --trace 1, from traced repeats. A layer a
@@ -70,7 +68,8 @@ var perLayer = []metric{
 	{"procmon.poll_lag_p50_ms", "ms"}, {"procmon.poll_lag_p99_ms", "ms"},
 	{"procmon.peak_rss_mb", "MiB"},
 	{"bench.trace_overhead_frac", "ratio"}, {"bench.profile_samples", "count"},
-	{"bench.failed_frac", "ratio"},
+	{"bench.failed_frac", "ratio"}, {"bench.run_s", "s"}, {"bench.ref_s", "s"},
+	{"bench.cpu_share", "ratio"},
 }
 
 // shareLayers are the profile buckets reported as <bucket>_share or
@@ -94,12 +93,25 @@ const setupRounds = 5
 // profileHz is the CPU profile sampling rate of traced repeats.
 const profileHz = 1000
 
+// instances is how many inputs a run cycles through. Inputs made from two
+// seeds can differ in work by several percent, so a run that measured one
+// input would carry that difference whole into its median; a run over
+// eight carries a fraction of it. Repeats 2k and 2k+1 measure instance
+// k % instances, so in a traced run each traced repeat has an untraced
+// twin on the same input.
+const instances = 8
+
+// instanceSeed is the seed that makes instance j of a run's inputs.
+func instanceSeed(seed int64, j int) int64 { return seed*instances + int64(j) }
+
 // repeat is one measured call, made in its own process.
 type repeat struct {
+	Seed       int64              `json:"seed"` // the instance's, see instanceSeed
 	Traced     bool               `json:"traced"`
 	SetupS     []float64          `json:"setup_s"`
 	RunS       float64            `json:"run_s"`
 	CPUS       float64            `json:"cpu_s"`
+	RefS       float64            `json:"ref_s"` // refRun, mean of before and after the repeat
 	Tasks      int                `json:"tasks"`
 	Ops        int                `json:"ops"`
 	FailedOps  int                `json:"failed_ops"`
@@ -177,13 +189,24 @@ func run(args []string, stdout io.Writer) int {
 	}
 	var reps []*repeat
 	start := time.Now()
+	// The reference kernel runs here, in the waiting parent, between
+	// repeats: each repeat's reference time is the mean of the runs just
+	// before and just after it, and its child process holds only the
+	// workload.
+	refBefore, refErr := refRun()
 	for i := 0; ; i++ {
 		tr := *trace == 1 && i%2 == 1
-		r, err := spawnRepeat(exe, wl.name, *seed, tr)
+		r, err := spawnRepeat(exe, wl.name, instanceSeed(*seed, i/2%instances), tr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "perfbench: %v\n", err)
 			return 1
 		}
+		refAfter, err := refRun()
+		if err := errors.Join(refErr, err); err != nil {
+			r.fail(err)
+		}
+		r.RefS = (refBefore + refAfter) / 2
+		refBefore, refErr = refAfter, err
 		reps = append(reps, r)
 		spent := time.Since(start).Seconds() >= *seconds
 		if *trace == 1 && spent && tr || *trace == 0 && spent && len(reps) >= 3 {
@@ -191,12 +214,12 @@ func run(args []string, stdout io.Writer) int {
 		}
 	}
 
-	res, digest := aggregate(reps, *trace == 1)
+	res, digests := aggregate(reps, *trace == 1)
 	prov := provenance(*seed)
 	prov["workload"] = wl.name
 	prov["trace"] = strconv.Itoa(*trace)
 	printSummary(os.Stderr, reps, res)
-	head, err := json.Marshal(map[string]any{"provenance": prov, "digest": digest, "repeats": len(reps)})
+	head, err := json.Marshal(map[string]any{"provenance": prov, "digests": digests, "repeats": len(reps)})
 	if err == nil {
 		var line []byte
 		line, err = json.Marshal(res)
@@ -234,7 +257,7 @@ func spawnRepeat(exe, name string, seed int64, traced bool) (*repeat, error) {
 	if cmd.ProcessState == nil {
 		return nil, fmt.Errorf("start repeat: %w", runErr)
 	}
-	rep := &repeat{Traced: traced}
+	rep := &repeat{Seed: seed, Traced: traced}
 	if runErr == nil {
 		if err := json.Unmarshal(lastLine(out.Bytes()), rep); err != nil {
 			runErr = fmt.Errorf("decode repeat: %w", err)
@@ -258,14 +281,14 @@ func lastLine(b []byte) []byte {
 // Every failure is recorded in the repeat rather than returned, so the
 // parent counts it.
 func runRepeat(wl workload, seed int64, traced bool) *repeat {
-	rep := &repeat{Traced: traced}
+	rep := &repeat{Seed: seed, Traced: traced}
 	var c call
 	for i := 0; i < setupRounds; i++ {
 		runtime.GC()
-		t0 := time.Now()
+		cpu0 := cpuNow()
 		var err error
 		c, err = wl.setup(seed)
-		rep.SetupS = append(rep.SetupS, time.Since(t0).Seconds())
+		rep.SetupS = append(rep.SetupS, cpuNow()-cpu0)
 		if err != nil {
 			rep.fail(fmt.Errorf("setup: %w", err))
 			return rep
@@ -286,20 +309,20 @@ func runRepeat(wl workload, seed int64, traced bool) *repeat {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	cpu0 := selfUsage()
+	cpu0 := cpuNow()
 	t0 := time.Now()
 	err := c.run()
 	rep.RunS = time.Since(t0).Seconds()
-	ru := selfUsage()
-	rep.CPUS = cpuSeconds(ru) - cpuSeconds(cpu0)
-	rep.PeakRSSMB = float64(ru.Maxrss) / 1024 // Linux reports KiB
+	rep.CPUS = cpuNow() - cpu0
+	peakMB, peakErr := selfPeakRSSMB()
+	rep.PeakRSSMB = peakMB
 	runtime.ReadMemStats(&m1)
 	if traced {
 		pprof.StopCPUProfile()
 	}
 	rep.Mallocs = m1.Mallocs - m0.Mallocs
 	rep.AllocBytes = m1.TotalAlloc - m0.TotalAlloc
-	if err != nil {
+	if err = errors.Join(err, peakErr); err != nil {
 		rep.fail(fmt.Errorf("run: %w", err))
 		return rep
 	}
@@ -325,31 +348,46 @@ func runRepeat(wl workload, seed int64, traced bool) *repeat {
 	return rep
 }
 
-// selfUsage is this process's resource usage, without its children's.
-// Getrusage cannot fail for RUSAGE_SELF with a valid pointer.
-func selfUsage() syscall.Rusage {
+// cpuNow is this process's user+system CPU time so far in seconds, without
+// its children's. Unlike wall time it leaves out the time a shared host's
+// hypervisor gives this VM's CPUs to others. Getrusage cannot fail for
+// RUSAGE_SELF with a valid pointer.
+func cpuNow() float64 {
 	var ru syscall.Rusage
 	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru)
-	return ru
-}
-
-// cpuSeconds is the user+system CPU time in a resource usage.
-func cpuSeconds(ru syscall.Rusage) float64 {
 	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
 }
 
-// aggregate turns repeats into the printed result. A repeat whose digest
-// differs from the first repeat's fails the determinism check.
-func aggregate(reps []*repeat, traceMode bool) (*result, string) {
-	digest := ""
+// selfPeakRSSMB is this process's peak resident set in MiB, VmHWM in
+// /proc/self/status. getrusage's max RSS would not do: a child that Go
+// starts with vfork and exec inherits its parent's peak as its own floor.
+func selfPeakRSSMB() (float64, error) {
+	data, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, err
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, "VmHWM:"); ok {
+			kib, err := strconv.ParseFloat(strings.TrimSpace(strings.TrimSuffix(v, "kB")), 64)
+			return kib / 1024, err
+		}
+	}
+	return 0, errors.New("no VmHWM in /proc/self/status")
+}
+
+// aggregate turns repeats into the printed result and the outcome digest
+// of each instance seed. A repeat whose digest differs from the first
+// repeat's on the same instance fails the determinism check.
+func aggregate(reps []*repeat, traceMode bool) (*result, map[int64]string) {
+	digests := map[int64]string{}
 	for _, r := range reps {
 		if r.Digest == "" {
 			continue
 		}
-		if digest == "" {
-			digest = r.Digest
-		} else if r.Digest != digest {
-			r.fail(errors.New("outcome digest differs from the first repeat's"))
+		if d, ok := digests[r.Seed]; !ok {
+			digests[r.Seed] = r.Digest
+		} else if r.Digest != d {
+			r.fail(errors.New("outcome digest differs from the first repeat's on the same instance"))
 		}
 	}
 	res := &result{Correct: true, Metrics: map[string]*value{}}
@@ -367,23 +405,28 @@ func aggregate(reps []*repeat, traceMode bool) (*result, string) {
 		}
 	}
 	if !traceMode {
+		// Set-up times drift with the host like the call's, so each is
+		// scaled by its repeat's reference time to a host of nominal speed.
 		var setups []float64
 		for _, r := range plain {
-			setups = append(setups, r.SetupS...)
+			if r.CheckErr != "" {
+				continue
+			}
+			for _, v := range r.SetupS {
+				setups = append(setups, v*refNominalS/r.RefS)
+			}
 		}
 		vals := map[string]float64{
 			"setup_s":              quantile(setups, 0.5),
-			"run_s":                medianOf(plain, func(r *repeat) float64 { return r.RunS }),
-			"tasks_per_s":          medianOf(plain, func(r *repeat) float64 { return float64(r.Tasks) / r.RunS }),
+			"run_ref":              medianOf(plain, func(r *repeat) float64 { return r.CPUS / r.RefS }),
 			"allocs_per_task":      medianOf(plain, func(r *repeat) float64 { return float64(r.Mallocs) / float64(max(r.Tasks, 1)) }),
 			"alloc_bytes_per_task": medianOf(plain, func(r *repeat) float64 { return float64(r.AllocBytes) / float64(max(r.Tasks, 1)) }),
 			"peak_rss_mb":          medianOf(plain, func(r *repeat) float64 { return r.PeakRSSMB }),
-			"cpu_share":            medianOf(plain, func(r *repeat) float64 { return r.CPUS / r.RunS }),
 		}
 		for _, m := range endToEnd {
 			res.Metrics[m.name] = &value{vals[m.name], m.unit}
 		}
-		return res, digest
+		return res, digests
 	}
 
 	vals := map[string]float64{}
@@ -405,7 +448,10 @@ func aggregate(reps []*repeat, traceMode bool) (*result, string) {
 	}
 	vals["bench.profile_samples"] = float64(all)
 	runS := func(r *repeat) float64 { return r.RunS }
-	if base := medianOf(plain, runS); base > 0 {
+	vals["bench.run_s"] = medianOf(plain, runS)
+	vals["bench.ref_s"] = medianOf(reps, func(r *repeat) float64 { return r.RefS })
+	vals["bench.cpu_share"] = medianOf(plain, func(r *repeat) float64 { return r.CPUS / r.RunS })
+	if base := vals["bench.run_s"]; base > 0 {
 		vals["bench.trace_overhead_frac"] = medianOf(traced, runS)/base - 1
 	}
 	if res.Attempted > 0 {
@@ -414,7 +460,7 @@ func aggregate(reps []*repeat, traceMode bool) (*result, string) {
 	for _, m := range perLayer {
 		res.Metrics[m.name] = &value{vals[m.name], m.unit}
 	}
-	return res, digest
+	return res, digests
 }
 
 // medianOf is the median of f over the repeats that passed their checks.
@@ -470,8 +516,8 @@ func provenance(seed int64) map[string]string {
 // human reading the run.
 func printSummary(w io.Writer, reps []*repeat, res *result) {
 	for i, r := range reps {
-		fmt.Fprintf(w, "repeat %d traced=%v setup_s=%.4f run_s=%.4f cpu_s=%.4f peak_rss_mb=%.1f tasks=%d ops=%d failed=%d digest=%s\n",
-			i, r.Traced, quantile(r.SetupS, 0.5), r.RunS, r.CPUS, r.PeakRSSMB, r.Tasks, r.Ops, r.FailedOps, r.Digest)
+		fmt.Fprintf(w, "repeat %d seed=%d traced=%v setup_s=%.4f run_s=%.4f cpu_s=%.4f ref_s=%.4f peak_rss_mb=%.1f tasks=%d ops=%d failed=%d digest=%s\n",
+			i, r.Seed, r.Traced, quantile(r.SetupS, 0.5), r.RunS, r.CPUS, r.RefS, r.PeakRSSMB, r.Tasks, r.Ops, r.FailedOps, r.Digest)
 		if r.CheckErr != "" {
 			fmt.Fprintf(w, "repeat %d FAILED: %s\n", i, r.CheckErr)
 		}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -198,9 +199,53 @@ func TestDigestMismatchFailsEveryOperationOfTheRepeat(t *testing.T) {
 		{Digest: "sha256:b", Ops: 10, Tasks: 10, RunS: 1},
 		{Digest: "sha256:a", Ops: 10, Tasks: 10, RunS: 1, CheckErr: "lost task", FailedOps: 10},
 	}
-	res, digest := aggregate(reps, false)
-	if res.Correct || res.Attempted != 30 || res.Failed != 20 || digest != "sha256:a" {
-		t.Fatalf("got correct=%v attempted=%d failed=%d digest=%s", res.Correct, res.Attempted, res.Failed, digest)
+	res, digests := aggregate(reps, false)
+	if res.Correct || res.Attempted != 30 || res.Failed != 20 || digests[0] != "sha256:a" {
+		t.Fatalf("got correct=%v attempted=%d failed=%d digests=%v", res.Correct, res.Attempted, res.Failed, digests)
+	}
+	// Instances have digests of their own.
+	reps = []*repeat{
+		{Seed: 8, Digest: "sha256:a", Ops: 10, Tasks: 10, RunS: 1},
+		{Seed: 9, Digest: "sha256:b", Ops: 10, Tasks: 10, RunS: 1},
+		{Seed: 8, Digest: "sha256:a", Ops: 10, Tasks: 10, RunS: 1},
+	}
+	if res, digests = aggregate(reps, false); !res.Correct || res.Failed != 0 || len(digests) != 2 {
+		t.Fatalf("got correct=%v failed=%d digests=%v", res.Correct, res.Failed, digests)
+	}
+}
+
+func TestReferenceKernelIsFixedWork(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		if d, sum := refKernel(); sum != refChecksum || d <= 0 {
+			t.Fatalf("kernel run %d: checksum %d in %v, want %d", i, sum, d, refChecksum)
+		}
+	}
+}
+
+func TestPeakRSSIsThisProcesssOwn(t *testing.T) {
+	mem := touch(32)
+	peak, err := selfPeakRSSMB()
+	if err != nil || peak < 32 {
+		t.Fatalf("peak RSS %v MiB after touching 32 MiB: %v", peak, err)
+	}
+	_ = mem[0]
+}
+
+func TestRunRefAndSetupAreRelativeToReferenceTime(t *testing.T) {
+	reps := []*repeat{
+		{Digest: "sha256:a", Ops: 1, Tasks: 1, RunS: 9, CPUS: 2, RefS: 0.5},
+		{Digest: "sha256:a", Ops: 1, Tasks: 1, RunS: 9, CPUS: 3, RefS: 0.5},
+		{Digest: "sha256:a", Ops: 1, Tasks: 1, RunS: 9, CPUS: 30, RefS: 5},
+	}
+	reps[0].SetupS = []float64{0.1}
+	reps[1].SetupS = []float64{0.2}
+	reps[2].SetupS = []float64{2.5}
+	res, _ := aggregate(reps, false)
+	if got := res.Metrics["run_ref"].Value; got != 6 {
+		t.Fatalf("run_ref %v, want the median ratio 6", got)
+	}
+	if got, want := res.Metrics["setup_s"].Value, 0.4*refNominalS; math.Abs(got-want) > 1e-12 {
+		t.Fatalf("setup_s %v, want the median scaled set-up %v", got, want)
 	}
 }
 

@@ -47,7 +47,7 @@ var workloadList = []workload{
 	{
 		name: "batch-scale",
 		setup: func(seed int64) (call, error) {
-			const tasks, workers = 40000, 2000
+			const tasks, workers = 10000, 500
 			w := workloads.Scale(sim.NewRNG(seed), tasks, 8)
 			site := cluster.Sites()["ndcrc"]
 			site.Name = fmt.Sprintf("synthetic-%d", workers)
@@ -62,7 +62,7 @@ var workloadList = []workload{
 	{
 		name: "hep-auto",
 		setup: func(seed int64) (call, error) {
-			w := workloads.HEP(sim.NewRNG(seed), 1000)
+			w := workloads.HEP(sim.NewRNG(seed), 800)
 			return &simCall{w: w, cfg: core.RunConfig{
 				SiteName: "ndcrc", Workers: 64, Strategy: alloc.NewAuto(), Seed: seed,
 			}}, nil
@@ -73,7 +73,7 @@ var workloadList = []workload{
 		setup: func(seed int64) (call, error) {
 			// 20 four-core workers over 1-core tasks of mean 20 s serve
 			// 4 tasks/s; the tenants offer twice that for the window.
-			const window, capacity = 900.0, 20 * 4 / 20.0
+			const window, capacity = 450.0, 20 * 4 / 20.0
 			rate := 2 * capacity
 			w := workloads.Scale(sim.NewRNG(seed), int(rate*window)*2+64, 8)
 			return &simCall{w: w, cfg: core.RunConfig{
@@ -256,7 +256,7 @@ func (s *spanStrategy) Observe(category string, rep monitor.Report) {
 const (
 	liveChildren = 16
 	livePoll     = 5 * time.Millisecond
-	liveHold     = 4 * time.Second
+	liveHold     = time.Second
 )
 
 // livePlan is the seeded shape of one live tree: the MiB each process of
