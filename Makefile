@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test test-race chaos bench profile obs serve scenarios diff
+.PHONY: check build vet test test-race examples chaos bench profile obs serve scenarios diff
 
 check: build vet test-race
 
@@ -18,6 +18,14 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Run every example program end to end: `go build` cannot catch their
+# runtime failure paths (a log.Fatal on an empty timeline or a failed run).
+examples:
+	@for d in examples/*/; do \
+		echo "== $${d%/}"; \
+		$(GO) run ./$${d%/} > /dev/null || exit 1; \
+	done
 
 # Deterministic chaos soak: drive the fault-injection engine, the hardening
 # features, and the invariant checker under the race detector, then survive

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	lfmbench [-quick] [-seed N] [experiment ...]
-//	lfmbench -metrics-out FILE [-metrics-timeline FILE] [-metrics-resolution SECS]
+//	lfmbench -metrics-out FILE
 //	lfmbench -trace-out FILE [-trace-format json|perfetto]
 //	lfmbench -telemetry-out FILE [-telemetry-sweep]
 //
@@ -13,9 +13,10 @@
 //
 // The -metrics-out form runs one instrumented Figure-6-style HEP workload
 // (auto strategy, 20 four-core ND-CRC workers) and writes the final metric
-// values in Prometheus text exposition format ("-" for stdout);
-// -metrics-timeline additionally writes the sampled per-metric timelines as
-// JSON. Experiments named on the command line still run afterwards.
+// values in Prometheus text exposition format ("-" for stdout). For
+// timelines of the same quantities, use -obs-out and render the snapshot
+// stream with cmd/lfmreport. Experiments named on the command line still run
+// afterwards.
 //
 // The -trace-out form runs the same HEP workload with span tracing enabled
 // and writes the trace: format "json" (the default) is the lfm-trace span
@@ -40,8 +41,6 @@ func main() {
 	seed := flag.Int64("seed", 7, "simulation seed")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	metricsOut := flag.String("metrics-out", "", "run an instrumented HEP benchmark and write Prometheus text to this file (- for stdout)")
-	metricsTimeline := flag.String("metrics-timeline", "", "with -metrics-out: also write sampled metric timelines as JSON to this file (- for stdout)")
-	metricsRes := flag.Float64("metrics-resolution", 1, "sampling resolution in simulated seconds for -metrics-timeline")
 	traceOut := flag.String("trace-out", "", "run a traced HEP benchmark and write the span trace to this file (- for stdout)")
 	traceFormat := flag.String("trace-format", "json", "trace export format: json (lfm-trace store) or perfetto (Chrome trace-event)")
 	chaosProfile := flag.String("chaos-profile", "", "run an HEP benchmark under a canned fault schedule ("+strings.Join(lfm.ChaosProfiles(), ", ")+") with full resilience enabled; exits nonzero on invariant violations")
@@ -63,7 +62,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole invocation to this file")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: lfmbench [-quick] [-seed N] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "       lfmbench -metrics-out FILE [-metrics-timeline FILE] [-metrics-resolution SECS]\n")
+		fmt.Fprintf(os.Stderr, "       lfmbench -metrics-out FILE\n")
 		fmt.Fprintf(os.Stderr, "       lfmbench -trace-out FILE [-trace-format json|perfetto]\n")
 		fmt.Fprintf(os.Stderr, "experiments: %s\n", strings.Join(lfm.ExperimentIDs(), " "))
 		flag.PrintDefaults()
@@ -73,17 +72,16 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
-		defer func() {
+		stopProfile = func() {
 			pprof.StopCPUProfile()
 			f.Close()
-		}()
+		}
+		defer stopProfile()
 	}
 
 	if *list {
@@ -93,54 +91,43 @@ func main() {
 		return
 	}
 
-	if *metricsTimeline != "" && *metricsOut == "" {
-		fmt.Fprintln(os.Stderr, "lfmbench: -metrics-timeline requires -metrics-out")
-		os.Exit(2)
-	}
 	if *metricsOut != "" {
-		if err := runInstrumented(*seed, *metricsRes, *metricsOut, *metricsTimeline); err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
+		if err := runInstrumented(*seed, *metricsOut); err != nil {
+			fail(err)
 		}
 	}
 	if *traceOut != "" {
 		if err := runTraced(*seed, *traceOut, *traceFormat); err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 	obsOpts := &obsOptions{out: *obsOut, cadence: *obsCadence, top: *topFlag, summary: *summaryOut, archive: *archiveOut}
 	if *chaosProfile != "" {
 		if err := runChaos(*seed, *chaosSeed, *chaosProfile, *chaosTrace, obsOpts); err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 	} else if obsOpts.enabled() {
 		if err := runObs(*seed, obsOpts); err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 	if *scale {
 		if err := runScale(*seed, *quick, *scaleOut, *scalePoints); err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 	if *serveFlag {
 		if err := runServe(*seed, *quick, *serveOut, *serveLoads); err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 	if *telemetrySweep && *telemetryOut == "" {
 		fmt.Fprintln(os.Stderr, "lfmbench: -telemetry-sweep requires -telemetry-out")
-		os.Exit(2)
+		exit(2)
 	}
 	if *telemetryOut != "" {
 		if err := runTelemetry(*seed, *quick, *telemetrySweep, *telemetryOut); err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 	}
 	if (*metricsOut != "" || *traceOut != "" || *chaosProfile != "" || *scale || *serveFlag || *telemetryOut != "" || obsOpts.enabled()) && flag.NArg() == 0 {
@@ -155,17 +142,33 @@ func main() {
 	for _, id := range ids {
 		start := time.Now()
 		if err := lfm.RenderExperiment(id, opt, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Printf("  (%s generated in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 }
 
+// stopProfile flushes the CPU profile once -cpuprofile has started one.
+var stopProfile = func() {}
+
+// exit stops the CPU profile, then exits with code. os.Exit skips deferred
+// calls, so every exit goes through here to keep the profile of a failed
+// run.
+func exit(code int) {
+	stopProfile()
+	os.Exit(code)
+}
+
+// fail reports err and exits 1.
+func fail(err error) {
+	fmt.Fprintf(os.Stderr, "lfmbench: %v\n", err)
+	exit(1)
+}
+
 // runInstrumented executes the Figure-6 point (HEP on ND-CRC, 20 four-core
 // workers, auto strategy) with full metrics instrumentation and writes the
-// requested exports.
-func runInstrumented(seed int64, resolution float64, promPath, timelinePath string) error {
+// registry as Prometheus text.
+func runInstrumented(seed int64, promPath string) error {
 	w := lfm.HEPWorkload(seed, 200)
 	strategy, err := lfm.StrategyFor("auto", w)
 	if err != nil {
@@ -176,22 +179,14 @@ func runInstrumented(seed int64, resolution float64, promPath, timelinePath stri
 		SiteName: "ndcrc", Workers: 20,
 		WorkerCores: 4, WorkerMemoryMB: 4 * 1024, WorkerDiskMB: 8 * 1024,
 		Strategy: strategy, Seed: seed, NoBatchLatency: true,
-		Metrics: reg, MetricsResolution: lfm.Time(resolution),
+		Metrics: reg,
 	})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("instrumented %s run: %d tasks on 20 4-core ndcrc workers, makespan %.0fs, utilization %.0f%%\n",
 		out.Workload, out.TaskCount, float64(out.Makespan), 100*out.Utilization)
-	if err := writeTo(promPath, func(f io.Writer) error { return reg.WritePrometheus(f) }); err != nil {
-		return err
-	}
-	if timelinePath != "" {
-		if err := writeTo(timelinePath, func(f io.Writer) error { return out.Sampler.WriteJSON(f) }); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeTo(promPath, reg.WritePrometheus)
 }
 
 // runTraced executes the same HEP benchmark point with span tracing enabled

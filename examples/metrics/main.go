@@ -1,6 +1,7 @@
 // Metrics: instrument a churn-heavy workload run with the cluster-wide
-// metrics registry, then render the sampled core-utilization timeline as an
-// ASCII chart and summarize the headline counters and latency distributions.
+// metrics registry and the obs snapshot bus, then render the core-utilization
+// timeline from the snapshots as an ASCII chart and summarize the registry's
+// headline counters and latency distributions.
 // Where examples/trace answers "what happened to each task?", this is the
 // fleet view: how full the pool was over time, how much of the traffic hit
 // worker caches, and where the scheduler lost capacity to churn.
@@ -25,9 +26,11 @@ func main() {
 	reg := lfm.NewMetricsRegistry()
 	out, err := lfm.RunWorkload(w, lfm.RunConfig{
 		SiteName: "ndcrc", Workers: 8, Seed: 11, NoBatchLatency: true,
-		Strategy:        s,
-		WorkerChurnMTBF: 90, // pilot jobs die every ~90s on average
-		Metrics:         reg, MetricsResolution: 2,
+		Strategy: s,
+		// Pilot jobs die every ~90s on average and are resubmitted.
+		Faults:  &lfm.ChaosSchedule{ChurnMTBF: 90, ChurnReplace: true},
+		Metrics: reg,
+		Obs:     &lfm.ObsConfig{Cadence: 2},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -35,25 +38,24 @@ func main() {
 	fmt.Printf("HEP, %d tasks, 8 workers with churn: makespan %s\n\n",
 		out.TaskCount, out.Makespan.Duration())
 
-	// Utilization timeline: allocated vs provisioned cores, averaged into
-	// fixed-width columns. The glyph ramp encodes the allocated fraction.
-	alloc := out.Sampler.Find("wq_cores_allocated")
-	total := out.Sampler.Find("wq_cores_total")
-	if alloc == nil || total == nil {
-		log.Fatal("metrics: utilization series missing")
+	// Utilization timeline: the allocated fraction of provisioned cores at
+	// each snapshot, averaged into fixed-width columns. The glyph ramp
+	// encodes the allocated fraction.
+	snaps := append(out.Obs.Snapshots, out.Obs.Final)
+	if len(snaps) < 2 || out.Obs.Final.At <= 0 {
+		log.Fatal("metrics: no utilization timeline")
 	}
 	const width = 72
 	ramp := []rune(" .:-=+*#%@")
 	cols := make([]float64, width) // mean allocated fraction per column
 	counts := make([]int, width)
-	span := float64(alloc.Points[len(alloc.Points)-1].At)
-	for i, p := range alloc.Points {
-		cap := total.Points[i].V
-		if cap == 0 {
+	span := float64(out.Obs.Final.At)
+	for _, sn := range snaps {
+		if sn.PoolCores == 0 {
 			continue
 		}
-		col := int(float64(p.At) / span * float64(width-1))
-		cols[col] += p.V / cap
+		col := int(float64(sn.At) / span * float64(width-1))
+		cols[col] += sn.Utilization
 		counts[col]++
 	}
 	var line strings.Builder

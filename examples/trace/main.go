@@ -26,7 +26,8 @@ func main() {
 	out, err := lfm.RunWorkload(w, lfm.RunConfig{
 		SiteName: "ndcrc", Workers: 4, Seed: 21, NoBatchLatency: true,
 		Strategy: s, Trace: trace,
-		WorkerChurnMTBF: 120, // a pilot job dies every ~2 minutes
+		// A pilot job dies every ~2 minutes and is resubmitted.
+		Faults: &lfm.ChaosSchedule{ChurnMTBF: 120, ChurnReplace: true},
 	})
 	if err != nil {
 		log.Fatal(err)

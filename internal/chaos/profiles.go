@@ -11,8 +11,8 @@ import (
 // runs of a few simulated minutes). Times are fractions of the horizon so a
 // profile stretches with the run it torments.
 var profiles = map[string]func(h sim.Time) *Schedule{
-	// churn reproduces the legacy WorkerChurnMTBF failure mode: pilot jobs
-	// keep hitting batch limits and get resubmitted.
+	// churn models pilot jobs that keep hitting batch limits and get
+	// resubmitted.
 	"churn": func(h sim.Time) *Schedule {
 		return &Schedule{ChurnMTBF: h / 4, ChurnReplace: true}
 	},

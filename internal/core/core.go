@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"lfm/internal/alloc"
 	"lfm/internal/chaos"
@@ -63,12 +62,6 @@ type RunConfig struct {
 	// grow the pool (up to Workers) as backlog accumulates, instead of
 	// provisioning the whole pool up front.
 	Autoscale bool
-	// WorkerChurnMTBF, when positive, kills a random connected worker on
-	// average every MTBF of simulated time and requests a replacement —
-	// pilot jobs hitting batch time limits. Running tasks are resubmitted.
-	// It is a compatibility shim over Faults.ChurnMTBF; seeded runs using it
-	// keep their pre-chaos-engine outcomes.
-	WorkerChurnMTBF sim.Time
 	// Resilience configures failure detection and mitigation in the master
 	// (heartbeats, speculation, quarantine, staging retries). Zero value
 	// leaves the master's historical behaviour unchanged.
@@ -76,7 +69,9 @@ type RunConfig struct {
 	// Faults, when non-nil, drives a chaos fault-injection engine over the
 	// run; the outcome then carries the engine's report, including any
 	// invariant violations. Windowed faults keep the simulation clock
-	// running until their window closes.
+	// running until their window closes. Worker churn — pilot jobs hitting
+	// batch time limits and being resubmitted — is Faults.ChurnMTBF with
+	// ChurnReplace.
 	Faults *chaos.Schedule
 	// ChaosSeed seeds fault-injection randomness independently of Seed, so
 	// the same disaster can replay over different workloads. 0 uses Seed.
@@ -85,12 +80,10 @@ type RunConfig struct {
 	Trace *wq.Trace
 	// Metrics, when non-nil, instruments the whole stack (master, monitor,
 	// cluster, filesystem, and — for Auto — the allocation strategy) on the
-	// registry, and a sampler records counter/gauge timelines at
-	// MetricsResolution. The sampler's final tick can extend the run by up
-	// to one resolution interval past the last model event.
+	// registry, which holds the run's totals once Run returns. Instrumenting
+	// is passive: it never schedules engine events, so the run is identical
+	// with or without a registry. Timelines come from Obs.
 	Metrics *metrics.Registry
-	// MetricsResolution is the sampling period (default 1s).
-	MetricsResolution sim.Time
 	// Telemetry, when non-nil, records per-attempt resource time series,
 	// per-category usage profiles, and node utilization timelines; the
 	// outcome then carries the run's telemetry. Recording is passive (the
@@ -137,9 +130,6 @@ type Outcome struct {
 	// EffectiveUtilization is measured-used core-time over provisioned
 	// core-time; the gap to Utilization is allocation waste.
 	EffectiveUtilization float64
-	// Sampler holds the recorded metric timelines when RunConfig.Metrics
-	// was set, nil otherwise.
-	Sampler *metrics.Sampler
 	// ProvisionFailures counts batch-system rejections observed during the
 	// run (worker replacements and autoscale requests); ProvisionError is
 	// the last one's message. Zero and empty on healthy runs.
@@ -211,9 +201,6 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 		site.BatchLatency = 0
 		site.Jitter = 0
 	}
-	if err := checkTimeKnob("MetricsResolution", cfg.MetricsResolution); err != nil {
-		return nil, err
-	}
 	if cfg.Obs != nil {
 		if err := cfg.Obs.Validate(); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
@@ -270,14 +257,12 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 		}
 		master.SetTelemetry(telem)
 	}
-	var sampler *metrics.Sampler
 	if cfg.Metrics != nil {
 		master.SetMetrics(cfg.Metrics)
 		cl.SetMetrics(cfg.Metrics)
 		if auto, ok := strategy.(*alloc.Auto); ok {
 			auto.SetMetrics(cfg.Metrics)
 		}
-		sampler = metrics.NewSampler(eng, cfg.Metrics, cfg.MetricsResolution)
 	}
 
 	var workers []*wq.Worker
@@ -345,40 +330,15 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 		return nil, err
 	}
 
-	// Assemble the effective fault schedule: an explicit Faults schedule,
-	// with the legacy WorkerChurnMTBF knob folded in as churn.
-	var sched *chaos.Schedule
-	if cfg.Faults != nil {
-		s := *cfg.Faults
-		sched = &s
-	}
-	if cfg.WorkerChurnMTBF > 0 {
-		if sched == nil {
-			sched = &chaos.Schedule{}
-		}
-		if sched.ChurnMTBF <= 0 {
-			sched.ChurnMTBF = cfg.WorkerChurnMTBF
-			sched.ChurnReplace = true
-		}
-	}
-	var churnRNG *sim.RNG
-	if cfg.WorkerChurnMTBF > 0 {
-		// Forked at the same stream position as the legacy churn loop, so
-		// seeded churn runs replay their historical outcomes.
-		churnRNG = eng.RNG().Fork()
-	}
 	var chaosEng *chaos.Engine
-	if sched != nil {
+	if cfg.Faults != nil {
 		seed := cfg.ChaosSeed
 		if seed == 0 {
 			seed = cfg.Seed
 		}
-		chaosEng = chaos.New(eng, *sched, sim.NewRNG(seed))
+		chaosEng = chaos.New(eng, *cfg.Faults, sim.NewRNG(seed))
 		chaosEng.Bind(master, cl)
-		if churnRNG != nil {
-			chaosEng.SetChurnRNG(churnRNG)
-		}
-		if cfg.Faults != nil && cfg.Trace != nil {
+		if cfg.Trace != nil {
 			chaosEng.SetTrace(cfg.Trace.Store())
 		}
 		if bus != nil {
@@ -443,11 +403,9 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 				master.Submit(t)
 			}
 		}
-		if sampler != nil {
-			sampler.Start()
-		}
 	})
 	makespan := eng.Run()
+	master.FlushMetrics()
 	if scaler != nil && scaler.Err() != nil {
 		return nil, scaler.Err()
 	}
@@ -464,7 +422,6 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 		Categories:           master.CategorySummaries(),
 		Utilization:          master.Utilization(),
 		EffectiveUtilization: master.EffectiveUtilization(),
-		Sampler:              sampler,
 		ProvisionFailures:    provisionFailures,
 		Sched:                master.SchedStats(),
 		Trace:                cfg.Trace,
@@ -481,7 +438,7 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 			Workers: cfg.Workers, Seed: cfg.Seed, Makespan: makespan,
 		})
 	}
-	if chaosEng != nil && cfg.Faults != nil {
+	if chaosEng != nil {
 		// Fold invariant-checker findings into the chaos report: every
 		// submitted task must have terminated and nothing may have leaked,
 		// no matter what the schedule did to the run.
@@ -506,19 +463,6 @@ func Run(w *workloads.Workload, cfg RunConfig) (*Outcome, error) {
 		}
 	}
 	return out, nil
-}
-
-// checkTimeKnob rejects negative or non-finite durations on a RunConfig time
-// knob with a clear error; zero is allowed and means "use the default".
-func checkTimeKnob(name string, v sim.Time) error {
-	f := float64(v)
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return fmt.Errorf("core: %s must be finite, got %v", name, f)
-	}
-	if v < 0 {
-		return fmt.Errorf("core: %s must be >= 0, got %v", name, f)
-	}
-	return nil
 }
 
 // StrategyFor builds the named strategy for a workload: "oracle", "auto",

@@ -1,35 +1,41 @@
-package core
+package core_test
 
 import (
 	"bytes"
 	"testing"
 
+	"lfm/internal/chaos"
+	"lfm/internal/core"
 	"lfm/internal/metrics"
+	"lfm/internal/scenario"
 	"lfm/internal/sim"
 	"lfm/internal/workloads"
 )
 
-func TestInstrumentedRun(t *testing.T) {
+// runHEP runs the 60-analysis HEP workload on four instant workers,
+// instrumented on reg when it is non-nil.
+func runHEP(t *testing.T, reg *metrics.Registry, faults *chaos.Schedule) (*core.Outcome, *workloads.Workload) {
+	t.Helper()
 	w := workloads.HEP(sim.NewRNG(7), 60)
-	reg := metrics.NewRegistry()
-	s, _ := StrategyFor("auto", w)
-	out, err := Run(w, RunConfig{
+	s, _ := core.StrategyFor("auto", w)
+	out, err := core.Run(w, core.RunConfig{
 		SiteName: "ndcrc", Workers: 4, Seed: 7, NoBatchLatency: true,
-		Strategy: s, Metrics: reg, MetricsResolution: 2 * sim.Second,
+		Strategy: s, Metrics: reg, Faults: faults,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Sampler == nil {
-		t.Fatal("no sampler on instrumented run")
-	}
+	return out, w
+}
+
+func TestInstrumentedRun(t *testing.T) {
+	reg := metrics.NewRegistry()
+	out, _ := runHEP(t, reg, nil)
 
 	// Counters across layers agree with the master's own statistics.
 	var submitted float64
-	for _, ts := range out.Sampler.Series() {
-		if ts.Name == "wq_tasks_submitted_total" {
-			submitted += ts.Points[len(ts.Points)-1].V
-		}
+	for _, c := range out.Categories {
+		submitted += reg.Counter("wq_tasks_submitted_total", metrics.L("category", c.Category)).Value()
 	}
 	if submitted != float64(out.Stats.Submitted) {
 		t.Fatalf("submitted counter = %v, stats = %d", submitted, out.Stats.Submitted)
@@ -43,18 +49,23 @@ func TestInstrumentedRun(t *testing.T) {
 	if auto := reg.Counter("alloc_observations_total", metrics.L("category", "hep-ana")).Value(); auto == 0 {
 		t.Fatal("auto strategy observations not counted")
 	}
-
-	// The sampled utilization timeline covers the run and ends drained.
-	ts := out.Sampler.Find("wq_cores_allocated")
-	if ts == nil || len(ts.Points) < 2 {
-		t.Fatalf("cores-allocated series = %+v", ts)
+	// The totals the master folds in from its Stats match them exactly.
+	st := out.Stats
+	for name, want := range map[string]float64{
+		"wq_retries_total":      float64(st.Retries),
+		"wq_tasks_lost_total":   float64(st.LostTasks),
+		"wq_cache_hits_total":   float64(st.CacheHits),
+		"wq_cache_misses_total": float64(st.CacheMisses),
+		"wq_bytes_in_total":     float64(st.BytesIn),
+		"wq_bytes_out_total":    float64(st.BytesOut),
+	} {
+		if got := reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %v, stats = %v", name, got, want)
+		}
 	}
-	if last := ts.Points[len(ts.Points)-1]; last.V != 0 {
-		t.Fatalf("final cores allocated = %v", last.V)
-	}
-	// The sampler extends the run by at most one resolution interval.
-	if lastAt := ts.Points[len(ts.Points)-1].At; lastAt > out.Makespan {
-		t.Fatalf("sample at %v after makespan %v", lastAt, out.Makespan)
+	// The pool gauges end drained.
+	if got := reg.Gauge("wq_cores_allocated").Value(); got != 0 {
+		t.Fatalf("final cores allocated = %v", got)
 	}
 
 	// The registry exports as valid (non-empty) Prometheus text.
@@ -65,26 +76,33 @@ func TestInstrumentedRun(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("empty exposition")
 	}
+}
 
-	// An uninstrumented run of the same workload behaves identically.
-	w2 := workloads.HEP(sim.NewRNG(7), 60)
-	s2, _ := StrategyFor("auto", w2)
-	plain, err := Run(w2, RunConfig{
-		SiteName: "ndcrc", Workers: 4, Seed: 7, NoBatchLatency: true, Strategy: s2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Sampler != nil {
-		t.Fatal("sampler on uninstrumented run")
-	}
-	if plain.Stats.Completed != out.Stats.Completed || plain.Stats.Retries != out.Stats.Retries {
-		t.Fatalf("instrumentation changed outcomes: %+v vs %+v", plain.Stats, out.Stats)
-	}
-	if plain.Makespan > out.Makespan {
-		t.Fatalf("plain makespan %v > instrumented %v", plain.Makespan, out.Makespan)
-	}
-	if out.Makespan > plain.Makespan+2*sim.Second {
-		t.Fatalf("sampler extended makespan %v -> %v, more than one resolution", plain.Makespan, out.Makespan)
+// TestMetricsPassive checks that instrumenting a run is strictly passive:
+// with a registry attached the run has the same makespan and the same
+// outcome digest as without one, on a quiet run and under worker churn.
+func TestMetricsPassive(t *testing.T) {
+	for name, faults := range map[string]*chaos.Schedule{
+		"quiet": nil,
+		"churn": {ChurnMTBF: 90, ChurnReplace: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			plain, pw := runHEP(t, nil, faults)
+			inst, iw := runHEP(t, metrics.NewRegistry(), faults)
+			if plain.Makespan != inst.Makespan {
+				t.Fatalf("instrumentation moved the makespan: %v -> %v", plain.Makespan, inst.Makespan)
+			}
+			pd, err := scenario.OutcomeDigest(plain, pw.Tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id, err := scenario.OutcomeDigest(inst, iw.Tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pd != id {
+				t.Fatalf("instrumentation changed the outcome: digest %s -> %s", pd, id)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"lfm/internal/chaos"
 	"lfm/internal/sim"
 	"lfm/internal/workloads"
 )
@@ -52,6 +53,16 @@ func TestAutoscaleVsFixedPool(t *testing.T) {
 	}
 }
 
+// churn is the worker-churn fault schedule: a pilot job dies on average
+// every mtbf of simulated time and a replacement is requested. Zero means
+// no faults at all.
+func churn(mtbf sim.Time) *chaos.Schedule {
+	if mtbf <= 0 {
+		return nil
+	}
+	return &chaos.Schedule{ChurnMTBF: mtbf, ChurnReplace: true}
+}
+
 func TestRunWithWorkerChurn(t *testing.T) {
 	// Workers die on average every 2 minutes while a ~10 minute workload
 	// runs; every task must still complete, with lost tasks resubmitted.
@@ -59,7 +70,7 @@ func TestRunWithWorkerChurn(t *testing.T) {
 	s, _ := StrategyFor("auto", w)
 	out, err := Run(w, RunConfig{
 		SiteName: "ndcrc", Workers: 8, Seed: 11, NoBatchLatency: true,
-		Strategy: s, WorkerChurnMTBF: 120,
+		Strategy: s, Faults: churn(120),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +93,7 @@ func TestChurnSlowsButDoesNotBreak(t *testing.T) {
 		s, _ := StrategyFor("oracle", w)
 		out, err := Run(w, RunConfig{
 			SiteName: "ndcrc", Workers: 8, Seed: 13, NoBatchLatency: true,
-			Strategy: s, WorkerChurnMTBF: mtbf,
+			Strategy: s, Faults: churn(mtbf),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -105,7 +116,7 @@ func TestChurnDeterministic(t *testing.T) {
 		s, _ := StrategyFor("auto", w)
 		out, err := Run(w, RunConfig{
 			SiteName: "ndcrc", Workers: 6, Seed: 17, NoBatchLatency: true,
-			Strategy: s, WorkerChurnMTBF: 90,
+			Strategy: s, Faults: churn(90),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -21,8 +21,8 @@ func TestTraceBehaviorNeutral(t *testing.T) {
 		w := workloads.HEP(sim.NewRNG(42), 60)
 		out, err := Run(w, RunConfig{
 			SiteName: "ndcrc", Workers: 4, Seed: 42,
-			WorkerChurnMTBF: 150, // churn exercises loss/retry paths too
-			Trace:           tr,
+			Faults: churn(150), // churn exercises loss/retry paths too
+			Trace:  tr,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -80,8 +80,8 @@ func TestChurnTracePerfettoValid(t *testing.T) {
 	tr := &wq.Trace{}
 	if _, err := Run(w, RunConfig{
 		SiteName: "ndcrc", Workers: 4, Seed: 13, NoBatchLatency: true,
-		WorkerChurnMTBF: 100,
-		Trace:           tr,
+		Faults: churn(100),
+		Trace:  tr,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -100,47 +99,4 @@ func writeHistogram(w io.Writer, name string, ins *instrument) error {
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, labelString(ins.labels), h.count)
 	return err
-}
-
-// jsonPoint serializes a Point as a compact [t, v] pair.
-type jsonPoint Point
-
-// MarshalJSON implements the compact pair encoding.
-func (p jsonPoint) MarshalJSON() ([]byte, error) {
-	return json.Marshal([2]float64{float64(p.At), p.V})
-}
-
-type jsonSeries struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Kind   string            `json:"kind"`
-	Points []jsonPoint       `json:"points"`
-}
-
-type jsonTimeline struct {
-	Resolution float64      `json:"resolution"`
-	Samples    int          `json:"samples"`
-	Series     []jsonSeries `json:"series"`
-}
-
-// WriteJSON emits the sampled timeline as a JSON document: sampling
-// resolution plus one series per counter/gauge with [time, value] points.
-func (s *Sampler) WriteJSON(w io.Writer) error {
-	doc := jsonTimeline{Resolution: float64(s.res), Samples: s.Samples}
-	for _, ts := range s.order {
-		js := jsonSeries{Name: ts.Name, Kind: ts.Kind, Points: make([]jsonPoint, len(ts.Points))}
-		if len(ts.Labels) > 0 {
-			js.Labels = make(map[string]string, len(ts.Labels))
-			for _, l := range ts.Labels {
-				js.Labels[l.Key] = l.Value
-			}
-		}
-		for i, p := range ts.Points {
-			js.Points[i] = jsonPoint(p)
-		}
-		doc.Series = append(doc.Series, js)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(doc)
 }

@@ -1,16 +1,15 @@
 // Package metrics is a lightweight in-process observability layer for the
 // simulation: a registry of counters, gauges, and fixed-bucket histograms,
-// each identified by a metric name plus ordered key/value labels; a
-// simulated-clock sampler that turns registered instruments into time series
-// at a fixed resolution (in the spirit of fine-grained agent monitors that
-// collect per-component metrics on a 1-second loop); and exporters for the
-// Prometheus text format and a JSON timeline.
+// each identified by a metric name plus ordered key/value labels, and an
+// exporter for the Prometheus text format. The registry holds end-of-run
+// totals; timelines come from the push-driven obs snapshot bus, which never
+// schedules engine events.
 //
 // The registry is deliberately tiny: instruments are get-or-create (so hot
 // paths can hold a pointer once and update it for free), registration order
-// is preserved (so exports and samples are deterministic under the
-// simulation kernel), and there is no locking because the simulation is
-// single-threaded by construction.
+// is preserved (so exports are deterministic under the simulation kernel),
+// and there is no locking because the simulation is single-threaded by
+// construction.
 package metrics
 
 import (
@@ -70,7 +69,7 @@ func (c *Counter) Add(d float64) {
 func (c *Counter) Value() float64 { return c.v }
 
 // Gauge is a value that can go up and down (queue depth, pool size). A gauge
-// may instead be backed by a function, evaluated at sample/export time.
+// may instead be backed by a function, evaluated at export time.
 type Gauge struct {
 	v  float64
 	fn func() float64
@@ -338,7 +337,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	return ins.gauge
 }
 
-// GaugeFunc registers a derived gauge evaluated at sample/export time (queue
+// GaugeFunc registers a derived gauge evaluated at export time (queue
 // depths, pool sizes, free capacity). Re-registering the same series replaces
 // the function.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
@@ -358,7 +357,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 }
 
 // Unregister removes one series (e.g. a departed worker's gauges) from future
-// samples and exports. Unknown series are a no-op.
+// exports. Unknown series are a no-op.
 func (r *Registry) Unregister(name string, labels ...Label) {
 	id := seriesID(name, canonLabels(labels))
 	if ins, ok := r.byID[id]; ok {

@@ -10,8 +10,10 @@ import (
 )
 
 // SetMetrics attaches a metrics registry to the master: pool and queue gauges
-// are registered immediately and the hot paths (placement, staging, transfer,
-// completion) update counters and histograms from then on. Call it before
+// are registered immediately, and the hot paths (placement, completion,
+// scheduling rounds, worker churn) update the per-category and per-worker
+// counters and the histograms from then on. Totals the master already keeps
+// in its Stats reach the registry through FlushMetrics. Call it before
 // submitting work; nil detaches. Runs without a registry pay only a nil check
 // per hook.
 func (m *Master) SetMetrics(reg *metrics.Registry) {
@@ -29,12 +31,6 @@ type masterMetrics struct {
 	reg *metrics.Registry
 
 	placements *metrics.Counter
-	retries    *metrics.Counter
-	lost       *metrics.Counter
-	cacheHits  *metrics.Counter
-	cacheMiss  *metrics.Counter
-	bytesIn    *metrics.Counter
-	bytesOut   *metrics.Counter
 
 	waitSeconds *metrics.Histogram
 	execSeconds *metrics.Histogram
@@ -96,12 +92,6 @@ func newMasterMetrics(m *Master, reg *metrics.Registry) *masterMetrics {
 		m:           m,
 		reg:         reg,
 		placements:  reg.Counter("wq_placements_total"),
-		retries:     reg.Counter("wq_retries_total"),
-		lost:        reg.Counter("wq_tasks_lost_total"),
-		cacheHits:   reg.Counter("wq_cache_hits_total"),
-		cacheMiss:   reg.Counter("wq_cache_misses_total"),
-		bytesIn:     reg.Counter("wq_bytes_in_total"),
-		bytesOut:    reg.Counter("wq_bytes_out_total"),
 		waitSeconds: reg.Histogram("wq_task_wait_seconds", metrics.DefTimeBuckets()),
 		execSeconds: reg.Histogram("wq_task_exec_seconds", metrics.DefTimeBuckets()),
 	}
@@ -161,79 +151,59 @@ func (mm *masterMetrics) onExec(wall sim.Time) {
 	}
 }
 
-func (mm *masterMetrics) onRetry() {
-	if mm != nil {
-		mm.retries.Inc()
+// FlushMetrics writes the totals the master counts in its own Stats into the
+// attached registry: retries, lost attempts, cache hits and misses, bytes
+// moved, and the resilience counters. The hot paths count each of these
+// events once, in the master's fields. Call it when the run is over, before
+// reading the registry (core.Run does); calling it again raises each counter
+// to the current total, never past it. A resilience counter registers only
+// once it is non-zero, so undisturbed runs keep a byte-identical registry
+// dump.
+func (m *Master) FlushMetrics() {
+	mm := m.met
+	if mm == nil {
+		return
+	}
+	set := func(name string, v float64) {
+		c := mm.reg.Counter(name)
+		c.Add(v - c.Value())
+	}
+	st := &m.stats
+	set("wq_retries_total", float64(st.Retries))
+	set("wq_tasks_lost_total", float64(st.LostTasks))
+	set("wq_cache_hits_total", float64(st.CacheHits))
+	set("wq_cache_misses_total", float64(st.CacheMisses))
+	set("wq_bytes_in_total", float64(st.BytesIn))
+	set("wq_bytes_out_total", float64(st.BytesOut))
+	rs := st.Resilience
+	if rs == nil {
+		return
+	}
+	for _, c := range []struct {
+		name, help string
+		v          int
+	}{
+		{"wq_speculative_launched_total", "backup copies launched for straggling tasks", rs.SpecLaunched},
+		{"wq_speculative_wins_total", "backup copies that finished before the original", rs.SpecWins},
+		{"wq_speculative_cancelled_total", "race-losing or dead speculative attempts cancelled", rs.SpecCancelled},
+		{"wq_staging_retries_total", "failed input transfers retried under backoff", rs.StagingRetries},
+		{"wq_staging_failures_total", "attempts failed by staging-transfer faults", rs.StagingFailures},
+	} {
+		if c.v > 0 {
+			mm.reg.Help(c.name, c.help)
+			set(c.name, float64(c.v))
+		}
 	}
 }
 
-func (mm *masterMetrics) onLost() {
-	if mm != nil {
-		mm.lost.Inc()
-	}
-}
-
-func (mm *masterMetrics) onCacheHit() {
-	if mm != nil {
-		mm.cacheHits.Inc()
-	}
-}
-
-func (mm *masterMetrics) onTransferIn(bytes int64) {
-	if mm != nil {
-		mm.cacheMiss.Inc()
-		mm.bytesIn.Add(float64(bytes))
-	}
-}
-
-func (mm *masterMetrics) onTransferOut(bytes int64) {
-	if mm != nil {
-		mm.bytesOut.Add(float64(bytes))
-	}
-}
-
-// Resilience instruments register lazily, on their first event: undisturbed
-// runs keep a byte-identical registry dump.
+// The remaining resilience instruments carry data the master's Stats do not
+// keep (latency distributions, per-worker counts); they register lazily, on
+// their first event, for the same byte-identical dump.
 
 func (mm *masterMetrics) onSuspect(latency sim.Time) {
 	if mm != nil {
 		mm.reg.Help("wq_detection_latency_seconds", "worker death to heartbeat-suspicion latency")
 		mm.reg.Histogram("wq_detection_latency_seconds", metrics.DefTimeBuckets()).Observe(float64(latency))
-	}
-}
-
-func (mm *masterMetrics) onSpecLaunch() {
-	if mm != nil {
-		mm.reg.Help("wq_speculative_launched_total", "backup copies launched for straggling tasks")
-		mm.reg.Counter("wq_speculative_launched_total").Inc()
-	}
-}
-
-func (mm *masterMetrics) onSpecWin() {
-	if mm != nil {
-		mm.reg.Help("wq_speculative_wins_total", "backup copies that finished before the original")
-		mm.reg.Counter("wq_speculative_wins_total").Inc()
-	}
-}
-
-func (mm *masterMetrics) onSpecCancel() {
-	if mm != nil {
-		mm.reg.Help("wq_speculative_cancelled_total", "race-losing or dead speculative attempts cancelled")
-		mm.reg.Counter("wq_speculative_cancelled_total").Inc()
-	}
-}
-
-func (mm *masterMetrics) onStagingRetry() {
-	if mm != nil {
-		mm.reg.Help("wq_staging_retries_total", "failed input transfers retried under backoff")
-		mm.reg.Counter("wq_staging_retries_total").Inc()
-	}
-}
-
-func (mm *masterMetrics) onStagingFailure() {
-	if mm != nil {
-		mm.reg.Help("wq_staging_failures_total", "attempts failed by staging-transfer faults")
-		mm.reg.Counter("wq_staging_failures_total").Inc()
 	}
 }
 
@@ -243,8 +213,6 @@ func (mm *masterMetrics) onQuarantine(w *Worker) {
 		mm.reg.Counter("wq_quarantines_total", workerLabel(w)).Inc()
 	}
 }
-
-func (mm *masterMetrics) onQuarantineEnd(*Worker) {}
 
 // onSchedPass records one scheduling round: its candidates-examined count
 // and wall-clock duration. Registered lazily like the resilience

@@ -2,12 +2,14 @@ package wq
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"lfm/internal/alloc"
 	"lfm/internal/metrics"
 	"lfm/internal/monitor"
+	"lfm/internal/obs"
 	"lfm/internal/sim"
 )
 
@@ -29,6 +31,7 @@ func TestMasterMetrics(t *testing.T) {
 		}
 	})
 	eng.Run()
+	m.FlushMetrics()
 
 	cat := metrics.L("category", "t")
 	if got := reg.Counter("wq_tasks_submitted_total", cat).Value(); got != 4 {
@@ -95,39 +98,67 @@ func TestMasterMetrics(t *testing.T) {
 	}
 }
 
-func TestMasterMetricsSampledTimeline(t *testing.T) {
-	// End-to-end: a sampler over an instrumented master yields a
-	// cores-allocated timeline that rises while tasks run and returns to
-	// zero at the end.
+func TestMasterMetricsFoldsStats(t *testing.T) {
+	// A task peaking at 800MB under a 200MB guess is killed once and
+	// retried: the registry's retry total comes from the master's Stats,
+	// and flushing again neither double-counts nor loses it.
 	reg := metrics.NewRegistry()
+	g := &alloc.Guess{Fixed: monitor.Resources{Cores: 1, MemoryMB: 200, DiskMB: 100}}
+	eng, m := testRig(t, 1, quickCfg(g))
+	m.SetMetrics(reg)
+	eng.At(0, func() { m.Submit(simpleTask(1, 10, 800)) })
+	eng.Run()
+	if got := reg.Counter("wq_retries_total").Value(); got != 0 {
+		t.Fatalf("retries before flush = %v, want 0", got)
+	}
+	for i := 0; i < 2; i++ {
+		m.FlushMetrics()
+		if got := reg.Counter("wq_retries_total").Value(); got != 1 || m.stats.Retries != 1 {
+			t.Fatalf("flush %d: retries counter = %v, stats = %d, want 1", i+1, got, m.stats.Retries)
+		}
+	}
+	// Undisturbed runs register no resilience counter.
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "wq_speculative") || strings.Contains(buf.String(), "wq_staging") {
+		t.Fatalf("resilience counters registered on an undisturbed run:\n%s", buf.String())
+	}
+}
+
+func TestMasterObsAllocatedTimeline(t *testing.T) {
+	// End-to-end: the obs snapshot bus over a master yields a
+	// cores-allocated timeline that rises while tasks run and returns to
+	// zero at the end, without scheduling a single engine event.
 	eng, m := testRig(t, 1, quickCfg(&alloc.Oracle{Peaks: map[string]monitor.Resources{
 		"t": {Cores: 1, MemoryMB: 100, DiskMB: 10}}}))
-	m.SetMetrics(reg)
-	s := metrics.NewSampler(eng, reg, sim.Second)
+	bus, err := obs.NewBus(eng, &obs.Config{Cadence: sim.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetObs(bus)
 	eng.At(0, func() {
-		s.Start()
 		for i := 0; i < 4; i++ {
 			m.Submit(simpleTask(i, 10, 100))
 		}
 	})
-	eng.Run()
-	ts := s.Find("wq_cores_allocated")
-	if ts == nil {
-		t.Fatal("no cores-allocated series")
+	end := eng.Run()
+	ro, err := bus.Finalize(end)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var peak float64
-	for _, p := range ts.Points {
-		if p.V > peak {
-			peak = p.V
-		}
+	for _, sn := range ro.Snapshots {
+		peak = math.Max(peak, sn.AllocatedCores)
 	}
 	if peak != 4 {
 		t.Fatalf("peak allocated = %v, want 4", peak)
 	}
-	if last := ts.Points[len(ts.Points)-1]; last.V != 0 {
-		t.Fatalf("final allocated = %v, want 0", last.V)
+	if got := ro.Final.AllocatedCores; got != 0 {
+		t.Fatalf("final allocated = %v, want 0", got)
 	}
-	if s.Samples < 10 {
-		t.Fatalf("samples = %d, want full run coverage", s.Samples)
+	if len(ro.Snapshots) < 10 {
+		t.Fatalf("snapshots = %d, want full run coverage", len(ro.Snapshots))
 	}
 }

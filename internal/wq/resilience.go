@@ -169,7 +169,6 @@ func (m *Master) retryStaging(a *attempt, f *File, try int, cont func()) {
 	rs := m.stats.resilience()
 	if try < r.StagingRetries {
 		rs.StagingRetries++
-		m.met.onStagingRetry()
 		m.Eng.After(r.StagingBackoff.Delay(try, m.resRNG), func() {
 			if a.done {
 				return
@@ -212,11 +211,9 @@ func (m *Master) failStaging(a *attempt, f *File) {
 	m.releaseAttempt(a)
 	rs := m.stats.resilience()
 	rs.StagingFailures++
-	m.met.onStagingFailure()
 	m.traceStagingFailed(a, f)
 	if a.speculative {
 		rs.SpecCancelled++
-		m.met.onSpecCancel()
 	}
 	if len(t.active) > 0 || t.State != TaskRunning {
 		m.schedule()
@@ -250,13 +247,10 @@ func (m *Master) loseAttempt(a *attempt) {
 		t.Attempts--
 	}
 	m.stats.LostTasks++
-	m.met.onLost()
 	m.telem.AbortAttempt(a.rec, "lost")
 	m.traceAttemptLost(a)
 	if a.speculative {
-		rs := m.stats.resilience()
-		rs.SpecCancelled++
-		m.met.onSpecCancel()
+		m.stats.resilience().SpecCancelled++
 	}
 	if len(t.active) == 0 && t.State == TaskRunning {
 		m.makeReady(t)
@@ -281,7 +275,6 @@ func (m *Master) cancelAttempt(a *attempt) {
 	rs := m.stats.resilience()
 	if a.speculative {
 		rs.SpecCancelled++
-		m.met.onSpecCancel()
 	}
 	if a.started {
 		rs.SpecWasteSeconds += a.req.Cores * float64(m.Eng.Now()-a.execStart)
@@ -339,7 +332,6 @@ func (m *Master) workerAttemptFailed(w *Worker) {
 		if m.sched != nil {
 			m.sched.admit(w)
 		}
-		m.met.onQuarantineEnd(w)
 		m.schedule()
 	})
 }
@@ -419,7 +411,6 @@ func (m *Master) speculate(a *attempt) {
 	}
 	t.specCount++
 	m.stats.resilience().SpecLaunched++
-	m.met.onSpecLaunch()
 	m.startAttempt(t, best, a.dec, true)
 }
 
@@ -449,7 +440,6 @@ func (m *Master) drainCheck() {
 			if m.sched != nil {
 				m.sched.admit(w)
 			}
-			m.met.onQuarantineEnd(w)
 		}
 	}
 }

@@ -824,7 +824,6 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 				w.consecFails, w.probationRound = 0, 0
 				if a.speculative {
 					m.stats.resilience().SpecWins++
-					m.met.onSpecWin()
 				}
 				for _, o := range append([]*attempt(nil), t.active...) {
 					m.cancelAttempt(o)
@@ -859,7 +858,6 @@ func (m *Master) stageInputs(a *attempt, i int, done func()) {
 	cont := func() { m.stageInputs(a, i+1, done) }
 	if w.cache[f.Name] {
 		m.stats.CacheHits++
-		m.met.onCacheHit()
 		if a.phase != trace.NoSpan {
 			st.Instant(trace.Span{
 				Kind: stageKind(f), Parent: a.phase,
@@ -875,7 +873,6 @@ func (m *Master) stageInputs(a *attempt, i int, done func()) {
 			// Another task is already pulling this file to the worker;
 			// piggyback on its transfer.
 			m.stats.CacheHits++
-			m.met.onCacheHit()
 			wake := cont
 			fail := func() { m.failStaging(a, f) }
 			if a.phase != trace.NoSpan {
@@ -909,7 +906,6 @@ func (m *Master) transferFile(a *attempt, f *File, try int, cont func()) {
 	st := m.st()
 	m.stats.CacheMisses++
 	m.stats.BytesIn += f.SizeBytes
-	m.met.onTransferIn(f.SizeBytes)
 	fsp := trace.NoSpan
 	if a.phase != trace.NoSpan {
 		fsp = st.Begin(trace.Span{
@@ -965,7 +961,6 @@ func (m *Master) sendOutputs(t *Task, completed bool, done func()) {
 		return
 	}
 	m.stats.BytesOut += t.OutputBytes
-	m.met.onTransferOut(t.OutputBytes)
 	m.link.Transfer(float64(t.OutputBytes), done)
 }
 
@@ -985,7 +980,6 @@ func (m *Master) finishAttempt(t *Task, rep monitor.Report) {
 	}
 	m.stats.Retries++
 	m.obs.RetryCharged()
-	m.met.onRetry()
 	dec := m.Cfg.Strategy.Retry(t.Category, t.Attempts)
 	if m.sched != nil {
 		m.sched.strategyObserved(t.Category)

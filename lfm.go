@@ -435,13 +435,6 @@ type MetricsRegistry = metrics.Registry
 // MetricsLabel is one key=value dimension on an instrument.
 type MetricsLabel = metrics.Label
 
-// MetricsSampler records counter and gauge timelines at a fixed
-// simulated-clock resolution; an instrumented run's Outcome carries one.
-type MetricsSampler = metrics.Sampler
-
-// MetricsSeries is the sampled history of one instrument.
-type MetricsSeries = metrics.TimeSeries
-
 // MetricsHistogram is a fixed-bucket distribution instrument.
 type MetricsHistogram = metrics.Histogram
 
