@@ -1,11 +1,19 @@
-# Tier-1 verification for the repo (see ROADMAP.md): build everything,
-# vet, and run the full test suite under the race detector.
+# Tier-1 verification for the repo (see ROADMAP.md): check formatting,
+# build everything, vet, and run the full test suite under the race
+# detector.
 
 GO ?= go
+GOFMT ?= gofmt
 
-.PHONY: check build vet test test-race examples chaos bench profile obs serve scenarios diff
+.PHONY: check fmt build vet test test-race examples chaos bench profile obs serve scenarios diff
 
-check: build vet test-race
+check: fmt build vet test-race
+
+# Formatting gate: fail, listing the files, if gofmt would rewrite any
+# tracked Go file.
+fmt:
+	@out="$$($(GOFMT) -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l flags:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...

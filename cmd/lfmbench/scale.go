@@ -92,9 +92,9 @@ type obsCost struct {
 type scaleReport struct {
 	SchemaVersion int           `json:"schema_version"`
 	GeneratedBy   string        `json:"generated_by"`
-	Quick       bool          `json:"quick"`
-	Seed        int64         `json:"seed"`
-	Points      []scaleResult `json:"points"`
+	Quick         bool          `json:"quick"`
+	Seed          int64         `json:"seed"`
+	Points        []scaleResult `json:"points"`
 }
 
 const scaleCategories = 8

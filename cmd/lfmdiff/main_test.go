@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"lfm"
@@ -39,6 +40,34 @@ func writeScenarioArchive(t *testing.T, dir, name string, customize func(*lfm.Ru
 	return path, arch
 }
 
+var (
+	baseOnce sync.Once
+	baseArch *lfm.RunArchive
+	baseData []byte
+	baseErr  error
+)
+
+// writeBaseArchive writes the unperturbed gate scenario's archive (with
+// the scheduler event stream) to dir and returns its path and the
+// in-memory archive. The scenario runs once per test binary; callers must
+// not mutate the returned archive.
+func writeBaseArchive(t *testing.T, dir string) (string, *lfm.RunArchive) {
+	t.Helper()
+	baseOnce.Do(func() {
+		var path string
+		path, baseArch = writeScenarioArchive(t, t.TempDir(), gateScenario, nil)
+		baseData, baseErr = os.ReadFile(path)
+	})
+	if baseErr != nil || baseArch == nil {
+		t.Fatalf("base archive unavailable: %v", baseErr)
+	}
+	path := filepath.Join(dir, gateScenario+".lfma")
+	if err := os.WriteFile(path, baseData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, baseArch
+}
+
 // TestGateRoundTrip is the acceptance loop in miniature: refresh a baseline
 // into a fresh directory, then gate against it — the unchanged tree must
 // pass with zero regressions.
@@ -66,11 +95,8 @@ func TestGateRoundTrip(t *testing.T) {
 // regressed metric and its delta.
 func TestGatePerturbFails(t *testing.T) {
 	dir := t.TempDir()
+	writeBaseArchive(t, dir)
 	var out bytes.Buffer
-	if err := cmdGate(&out, []string{"-baselines", dir, "-scenarios", gateScenario, "-refresh"}); err != nil {
-		t.Fatalf("gate -refresh: %v", err)
-	}
-	out.Reset()
 	mdPath := filepath.Join(dir, "gate.md")
 	jsonPath := filepath.Join(dir, "gate.json")
 	err := cmdGate(&out, []string{
@@ -111,7 +137,7 @@ func TestGateRefusesPerturbedRefresh(t *testing.T) {
 // itself must not.
 func TestCompareRegression(t *testing.T) {
 	dir := t.TempDir()
-	basePath, _ := writeScenarioArchive(t, dir, gateScenario, nil)
+	basePath, _ := writeBaseArchive(t, dir)
 
 	var out bytes.Buffer
 	if err := cmdCompare(&out, []string{basePath, basePath}); err != nil {
@@ -145,9 +171,10 @@ func TestCompareRegression(t *testing.T) {
 // two same-seed archives, one with a tampered scheduler event stream, and
 // `explain` must bisect to exactly that event index.
 func TestExplainPinpointsDivergence(t *testing.T) {
-	dir := t.TempDir()
-	_, base := writeScenarioArchive(t, dir, gateScenario, nil)
-	_, cand := writeScenarioArchive(t, dir, gateScenario, nil)
+	// The candidate is a fresh run, so two independent same-seed runs are
+	// compared, not one archive with itself.
+	_, base := writeBaseArchive(t, t.TempDir())
+	_, cand := writeScenarioArchive(t, t.TempDir(), gateScenario, nil)
 	if len(cand.Events) < 10 {
 		t.Fatalf("archive has only %d events", len(cand.Events))
 	}

@@ -106,9 +106,8 @@ func TestObsStreamDeterministic(t *testing.T) {
 }
 
 // TestObsChaosSoakConsistency drives fault profiles over an obs-enabled run
-// and relies on the invariant checker — which now includes the bus/master
-// consistency cross-check — reporting zero violations. The final snapshot
-// must agree with the outcome's own books.
+// and relies on the invariant checker reporting zero violations. The final
+// snapshot must agree with the outcome's own books.
 func TestObsChaosSoakConsistency(t *testing.T) {
 	for _, profile := range []string{"churn", "storm", "blackout"} {
 		t.Run(profile, func(t *testing.T) {

@@ -207,8 +207,8 @@ func TestServingOverloadStormSoak(t *testing.T) {
 	out := servingRun(t, 17, 8, 1.6, 240, func(cfg *RunConfig) {
 		cfg.Resilience = fullResilience()
 		cfg.Faults = sched
-		// Obs on, so the bus↔frontend serving-counter consistency
-		// cross-check runs inside the chaos invariant sweep.
+		// Obs on, so the final snapshot's serving counters can be
+		// checked against the frontend's report below.
 		cfg.Obs = &obs.Config{Cadence: 5 * sim.Second}
 	})
 	if out.Chaos == nil {

@@ -28,11 +28,11 @@ type RunSummary struct {
 	// newer documents instead of misparsing them.
 	SchemaVersion int      `json:"schema_version"`
 	Strategy      string   `json:"strategy"`
-	Workload  string   `json:"workload"`
-	Workers   int      `json:"workers"`
-	Makespan  sim.Time `json:"makespan"`
-	TaskCount int      `json:"task_count"`
-	Stats     wq.Stats `json:"stats"`
+	Workload      string   `json:"workload"`
+	Workers       int      `json:"workers"`
+	Makespan      sim.Time `json:"makespan"`
+	TaskCount     int      `json:"task_count"`
+	Stats         wq.Stats `json:"stats"`
 	// Utilization is allocated/provisioned core-time; EffectiveUtilization
 	// is measured-used/provisioned.
 	Utilization          float64 `json:"utilization"`

@@ -2,8 +2,8 @@
 // simulation: a registry of counters, gauges, and fixed-bucket histograms,
 // each identified by a metric name plus ordered key/value labels, and an
 // exporter for the Prometheus text format. The registry holds end-of-run
-// totals; timelines come from the push-driven obs snapshot bus, which never
-// schedules engine events.
+// totals; timelines come from the obs snapshot bus, which never schedules
+// engine events.
 //
 // The registry is deliberately tiny: instruments are get-or-create (so hot
 // paths can hold a pointer once and update it for free), registration order

@@ -1,11 +1,13 @@
 package monitor
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"lfm/internal/metrics"
 	"lfm/internal/sim"
+	"lfm/internal/trace"
 )
 
 func res(c, m, d float64) Resources { return Resources{Cores: c, MemoryMB: m, DiskMB: d} }
@@ -261,63 +263,96 @@ func TestMeasuredPeakProperty(t *testing.T) {
 	}
 }
 
-func TestRecordSeries(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.RecordSeries = true
+// observed is one measurement seen by an Observer.
+type observed struct {
+	at  sim.Time
+	u   Resources
+	src Source
+}
+
+// runObserved is runOne with an Observer recording every measurement.
+func runObserved(t *testing.T, cfg Config, spec ProcSpec, limits Resources) (Report, []observed) {
+	t.Helper()
+	eng := sim.NewEngine(1)
+	m := New(eng, cfg)
+	var rep Report
+	var seen []observed
+	got := false
+	obs := func(at sim.Time, u Resources, src Source) { seen = append(seen, observed{at, u, src}) }
+	eng.At(0, func() {
+		m.RunObserved(spec, limits, nil, trace.NoSpan, obs, func(r Report) { rep = r; got = true })
+	})
+	eng.Run()
+	if !got {
+		t.Fatal("monitor never reported")
+	}
+	return rep, seen
+}
+
+func TestObserverSeesEveryMeasurement(t *testing.T) {
 	spec := ProcSpec{
 		Phases: []Phase{{Duration: 3, Usage: res(1, 100, 0)}},
 		Children: []ChildSpec{
 			{StartOffset: 1, Spec: Proc(1, res(1, 50, 0))},
 		},
 	}
-	rep := runOne(t, cfg, spec, Resources{})
-	if len(rep.Series) < 4 {
-		t.Fatalf("series = %d samples", len(rep.Series))
+	_, seen := runObserved(t, DefaultConfig(), spec, Resources{})
+	if len(seen) < 4 {
+		t.Fatalf("observer saw %d measurements", len(seen))
 	}
 	var sawEvent, sawPoll, sawChildUsage bool
-	for i, s := range rep.Series {
-		if i > 0 && s.At < rep.Series[i-1].At {
-			t.Fatal("series not time-ordered")
+	for i, s := range seen {
+		if i > 0 && s.at < seen[i-1].at {
+			t.Fatal("measurements not time-ordered")
 		}
-		if s.FromEvent {
+		switch s.src {
+		case SourceEvent:
 			sawEvent = true
-		} else {
+		case SourcePoll:
 			sawPoll = true
 		}
-		if s.Usage.MemoryMB == 150 {
+		if s.u.MemoryMB == 150 {
 			sawChildUsage = true
 		}
 	}
 	if !sawEvent || !sawPoll {
-		t.Fatalf("series kinds: event=%v poll=%v", sawEvent, sawPoll)
+		t.Fatalf("measurement kinds: event=%v poll=%v", sawEvent, sawPoll)
 	}
 	if !sawChildUsage {
-		t.Fatal("series never captured parent+child usage")
+		t.Fatal("observer never saw parent+child usage")
 	}
 }
 
-func TestSeriesOffByDefault(t *testing.T) {
-	rep := runOne(t, DefaultConfig(), Proc(3, res(1, 10, 0)), Resources{})
-	if rep.Series != nil {
-		t.Fatal("series recorded without RecordSeries")
+// TestObserverIsPassive checks observation is opt-in and changes nothing:
+// a plain Run and an observed run of the same task report identically.
+func TestObserverIsPassive(t *testing.T) {
+	spec := Proc(3, res(1, 10, 0))
+	plain := runOne(t, DefaultConfig(), spec, Resources{})
+	rep, seen := runObserved(t, DefaultConfig(), spec, Resources{})
+	if !reflect.DeepEqual(plain, rep) {
+		t.Fatalf("observed report differs:\nplain:    %+v\nobserved: %+v", plain, rep)
+	}
+	if len(seen) == 0 {
+		t.Fatal("observer saw nothing")
 	}
 }
 
 // Regression: the final measurement at completion must honor
 // TrackProcessEvents — with event tracking disabled it used to increment
-// ProcEvents and record a FromEvent sample anyway, skewing ablation counts.
+// ProcEvents and report a process-event measurement anyway, skewing
+// ablation counts.
 func TestFinalMeasurementHonorsEventConfig(t *testing.T) {
-	cfg := Config{PollInterval: sim.Second, TrackProcessEvents: false, RecordSeries: true}
-	rep := runOne(t, cfg, Proc(2.5, res(1, 100, 0)), Resources{})
+	cfg := Config{PollInterval: sim.Second, TrackProcessEvents: false}
+	rep, seen := runObserved(t, cfg, Proc(2.5, res(1, 100, 0)), Resources{})
 	if !rep.Completed {
 		t.Fatalf("report = %+v", rep)
 	}
 	if rep.ProcEvents != 0 {
 		t.Fatalf("ProcEvents = %d with event tracking disabled, want 0", rep.ProcEvents)
 	}
-	for _, s := range rep.Series {
-		if s.FromEvent {
-			t.Fatalf("FromEvent sample at %v with event tracking disabled", s.At)
+	for _, s := range seen {
+		if s.src == SourceEvent {
+			t.Fatalf("process-event measurement at %v with event tracking disabled", s.at)
 		}
 	}
 	// The measurement itself still happens: the peak is captured.

@@ -46,8 +46,6 @@ type Report struct {
 	// raised the peak in any dimension — how long until the task's footprint
 	// was fully established.
 	TimeToPeak sim.Time
-	// Series holds every measurement when Config.RecordSeries is set.
-	Series []Sample
 }
 
 // Exceedance describes one observed limit violation.
@@ -77,14 +75,6 @@ const (
 // schedule simulation events or mutate the run.
 type Observer func(at sim.Time, u Resources, src Source)
 
-// Sample is one recorded measurement.
-type Sample struct {
-	At    sim.Time
-	Usage Resources
-	// FromEvent marks fork/exit-triggered measurements (vs polls).
-	FromEvent bool
-}
-
 // Config parameterizes an LFM.
 type Config struct {
 	// PollInterval is the /proc polling period. The paper notes polling
@@ -102,9 +92,6 @@ type Config struct {
 	// Callback, if set, runs at the end of each polling interval with the
 	// current measurement — the decorator callback of §VI-B1.
 	Callback func(at sim.Time, current Resources)
-	// RecordSeries, when true, retains every measurement in the report's
-	// Series for post-hoc inspection (usage timelines).
-	RecordSeries bool
 	// KillDelay, if set, is consulted when the monitor decides to kill a
 	// task; a positive return defers the effective kill by that long while
 	// the task keeps running (and being measured) — a zombie left behind by
@@ -352,7 +339,6 @@ func (r *run) measure(src measureSource) {
 	}
 	now := r.m.Eng.Now()
 	u := r.spec.UsageAt(now - r.start)
-	fromEvent := false
 	switch src {
 	case byPoll:
 		r.rep.Polls++
@@ -365,7 +351,6 @@ func (r *run) measure(src measureSource) {
 		r.rep.ProcEvents++
 		r.m.met.onProcEvent()
 		r.traceInstant(trace.KindProcEvent, "")
-		fromEvent = true
 	case atCompletion:
 		// The final measurement is the root process's exit: it is a process
 		// event only when event tracking is enabled. Without it the
@@ -374,11 +359,7 @@ func (r *run) measure(src measureSource) {
 		if r.m.Cfg.TrackProcessEvents {
 			r.rep.ProcEvents++
 			r.m.met.onProcEvent()
-			fromEvent = true
 		}
-	}
-	if r.m.Cfg.RecordSeries {
-		r.rep.Series = append(r.rep.Series, Sample{At: now, Usage: u, FromEvent: fromEvent})
 	}
 	// Time-weighted mean: accrue the previous level over the elapsed gap.
 	if r.haveU {

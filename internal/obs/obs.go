@@ -6,16 +6,18 @@
 // (submit→completion) latency quantiles — into bounded ring buffers and,
 // optionally, a JSONL stream and a live dashboard.
 //
-// The bus never schedules simulation events. It is purely push-driven: the
-// master (and, through it, the chaos engine and the telemetry collector)
-// calls a bus mutator whenever observable state changes, and each mutator
-// first seals every snapshot boundary the simulation clock has crossed
-// since the previous call, then applies its own delta. A snapshot at
-// boundary B therefore reflects exactly the pushes with timestamp ≤ B, no
-// matter how call sites interleave within an event round. Because nothing
-// is scheduled and no caller-visible state is touched, an obs-enabled run
-// is behavior-neutral: outcomes, placements, and traces are byte-identical
-// to an obs-off run, and two same-seed runs emit byte-identical streams.
+// The bus reads the state it reports instead of keeping a copy of it. It
+// takes the engine's clock-advance hook (sim.Engine.OnAdvance): just
+// before the clock moves past a cadence boundary B, every event and
+// deferred procedure at a time <= B has run, and the bus seals snapshot(B)
+// by reading the master's books (Truth) and the serving frontend's
+// counters (ServeTruth) through closures those layers install. Only what
+// no other layer keeps is pushed: the two latency histograms, the chaos
+// injection ticker, and the anomaly count. The bus never schedules,
+// cancels, or stops anything and no decision path reads it, so an
+// obs-enabled run is behavior-neutral: outcomes, placements, and traces
+// are byte-identical to an obs-off run, and two same-seed runs emit
+// byte-identical streams.
 //
 // Memory stays bounded the same way the tseries layer bounds its series:
 // when the retained ring reaches its cap, every other snapshot is dropped
@@ -108,8 +110,9 @@ type catAgg struct {
 	e2e   *metrics.Histogram
 }
 
-// Truth is the master's ground-truth view of the counters the bus tracks,
-// used by CheckConsistency.
+// Truth is the master's state the bus reads when it seals a boundary. The
+// master installs a closure over its own books (wq.Master.SetObs), so a
+// snapshot reports the master's counters themselves, not a copy of them.
 type Truth struct {
 	QueueDepth         int
 	Blocked            int
@@ -117,15 +120,20 @@ type Truth struct {
 	Speculating        int
 	WorkersAlive       int
 	WorkersQuarantined int
+	QuarantineTrips    int
 	PoolCores          float64
 	AllocatedCores     float64
 	Submitted          int
 	Completed          int
 	Failed             int
+	Retries            int
+	// Sched is the matching loop's cumulative work; snapshots carry its
+	// delta since the previous built snapshot.
+	Sched SchedDelta
 }
 
-// ServeTruth is the serving frontend's ground-truth counters, compared by
-// CheckConsistency when a frontend is attached.
+// ServeTruth is the serving frontend's counters, read at seal time when a
+// frontend is attached.
 type ServeTruth struct {
 	Offered       int
 	Shed          int
@@ -134,9 +142,9 @@ type ServeTruth struct {
 	Backpressured int
 }
 
-// Bus accumulates pushed state changes and seals them into snapshots at
-// cadence boundaries. Construct with NewBus; every mutator is safe on a
-// nil bus, so instrumented call sites need no guards.
+// Bus seals the run's state into snapshots at cadence boundaries. Construct
+// with NewBus; every method is safe on a nil bus, so instrumented call
+// sites need no guards.
 type Bus struct {
 	eng     *sim.Engine
 	cfg     Config
@@ -152,33 +160,25 @@ type Bus struct {
 	enc  *json.Encoder
 	werr error
 
-	// Live pushed counters; see the mutators for semantics.
-	queueDepth, blocked, running, speculating int
-	submitted, completed, failed, retries     int
-	workersAlive, workersQuarantined          int
-	quarantineTrips                           int
-	poolCores, allocCores                     float64
-	chaosInjected, anomalies                  int
-	recent                                    []ChaosEvent
-	offered, shedTasks, rejectedTasks         int
-	throttledTasks, backpressured             int
+	// Counts no other layer keeps: fault injections with their recent
+	// ticker, and telemetry anomalies.
+	chaosInjected, anomalies int
+	recent                   []ChaosEvent
 
-	schedCum  SchedDelta // cumulative scheduler-round work
-	schedPrev SchedDelta // value at the previously built snapshot
+	schedPrev SchedDelta // cumulative scheduler work at the previous build
 
 	sched, e2e *metrics.Histogram
 	catOrder   []string
 	cats       map[string]*catAgg
 
-	latest     *Snapshot
-	final      *Snapshot
 	truth      func() Truth
 	serveTruth func() ServeTruth
 }
 
 // NewBus returns a bus sealing snapshots of eng's simulation at cfg's
-// cadence. A nil cfg uses defaults. When cfg.Stream is set the meta line
-// is written immediately.
+// cadence; it takes the engine's clock-advance hook (sim.Engine.OnAdvance).
+// A nil cfg uses defaults. When cfg.Stream is set the meta line is written
+// immediately.
 func NewBus(eng *sim.Engine, cfg *Config) (*Bus, error) {
 	var c Config
 	if cfg != nil {
@@ -211,11 +211,12 @@ func NewBus(eng *sim.Engine, cfg *Config) (*Bus, error) {
 			StreamMeta:    c.Meta, Cadence: c.Cadence, RingCap: c.RingCap,
 		}})
 	}
+	eng.OnAdvance(b.advance)
 	return b, nil
 }
 
-// SetTruth installs the ground-truth closure CheckConsistency compares
-// the pushed counters against. The master installs it on attach.
+// SetTruth installs the closure build reads the master's state through.
+// The master installs it on attach.
 func (b *Bus) SetTruth(fn func() Truth) {
 	if b == nil {
 		return
@@ -223,8 +224,8 @@ func (b *Bus) SetTruth(fn func() Truth) {
 	b.truth = fn
 }
 
-// SetServeTruth installs the serving frontend's ground-truth closure; the
-// frontend installs it on attach.
+// SetServeTruth installs the closure build reads the serving frontend's
+// counters through; the frontend installs it on attach.
 func (b *Bus) SetServeTruth(fn func() ServeTruth) {
 	if b == nil {
 		return
@@ -232,9 +233,10 @@ func (b *Bus) SetServeTruth(fn func() ServeTruth) {
 	b.serveTruth = fn
 }
 
-// advance seals every boundary the clock has crossed. A boundary B seals
-// once some push arrives with timestamp strictly after B, so events at
-// exactly B are included in snapshot(B).
+// advance is the engine's clock-advance hook: before the clock moves to
+// `now`, it seals every boundary below it. Every event and deferred
+// procedure at a time <= B has run by then, and none after B has, so
+// events at exactly B are included in snapshot(B).
 func (b *Bus) advance(now sim.Time) {
 	for b.next < now {
 		b.seal(b.next)
@@ -254,7 +256,6 @@ func (b *Bus) seal(at sim.Time) {
 		return
 	}
 	s := b.build(at, tick)
-	b.latest = s
 	if b.enc != nil {
 		b.put(streamLine{Type: "snapshot", Snapshot: s})
 	}
@@ -275,37 +276,42 @@ func (b *Bus) seal(at sim.Time) {
 	}
 }
 
-// build assembles the snapshot for one boundary from the pushed counters.
+// build assembles the snapshot for one boundary from the state the truth
+// closures read now.
 func (b *Bus) build(at sim.Time, seq int) *Snapshot {
+	var t Truth
+	if b.truth != nil {
+		t = b.truth()
+	}
 	s := &Snapshot{
 		Seq: seq, At: at,
-		QueueDepth: b.queueDepth, Blocked: b.blocked,
-		Running: b.running, Speculating: b.speculating,
-		Submitted: b.submitted, Completed: b.completed,
-		Failed: b.failed, Retries: b.retries,
-		WorkersAlive:       b.workersAlive,
-		WorkersQuarantined: b.workersQuarantined,
-		QuarantineTrips:    b.quarantineTrips,
-		PoolCores:          b.poolCores,
-		AllocatedCores:     b.allocCores,
+		QueueDepth: t.QueueDepth, Blocked: t.Blocked,
+		Running: t.Running, Speculating: t.Speculating,
+		Submitted: t.Submitted, Completed: t.Completed,
+		Failed: t.Failed, Retries: t.Retries,
+		WorkersAlive:       t.WorkersAlive,
+		WorkersQuarantined: t.WorkersQuarantined,
+		QuarantineTrips:    t.QuarantineTrips,
+		PoolCores:          t.PoolCores,
+		AllocatedCores:     t.AllocatedCores,
 		Sched: SchedDelta{
-			Passes:     b.schedCum.Passes - b.schedPrev.Passes,
-			Tasks:      b.schedCum.Tasks - b.schedPrev.Tasks,
-			Candidates: b.schedCum.Candidates - b.schedPrev.Candidates,
-			Wakes:      b.schedCum.Wakes - b.schedPrev.Wakes,
+			Passes:     t.Sched.Passes - b.schedPrev.Passes,
+			Tasks:      t.Sched.Tasks - b.schedPrev.Tasks,
+			Candidates: t.Sched.Candidates - b.schedPrev.Candidates,
+			Wakes:      t.Sched.Wakes - b.schedPrev.Wakes,
 		},
 		ChaosInjected: b.chaosInjected,
 		Anomalies:     b.anomalies,
-		Offered:       b.offered,
-		Shed:          b.shedTasks,
-		Rejected:      b.rejectedTasks,
-		Throttled:     b.throttledTasks,
-		Backpressured: b.backpressured,
 		SchedLatency:  Summarize(b.sched),
 		E2ELatency:    Summarize(b.e2e),
 	}
-	if b.poolCores > 0 {
-		s.Utilization = b.allocCores / b.poolCores
+	if b.serveTruth != nil {
+		st := b.serveTruth()
+		s.Offered, s.Shed, s.Rejected = st.Offered, st.Shed, st.Rejected
+		s.Throttled, s.Backpressured = st.Throttled, st.Backpressured
+	}
+	if t.PoolCores > 0 {
+		s.Utilization = t.AllocatedCores / t.PoolCores
 	}
 	if len(b.recent) > 0 {
 		s.Events = append([]ChaosEvent(nil), b.recent...)
@@ -316,7 +322,7 @@ func (b *Bus) build(at sim.Time, seq int) *Snapshot {
 			Category: cat, Sched: Summarize(ca.sched), E2E: Summarize(ca.e2e),
 		})
 	}
-	b.schedPrev = b.schedCum
+	b.schedPrev = t.Sched
 	return s
 }
 
@@ -333,171 +339,24 @@ func (b *Bus) cat(category string) *catAgg {
 	return ca
 }
 
-// TaskSubmitted records one submission.
-func (b *Bus) TaskSubmitted() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.submitted++
-}
-
-// TaskReady records a task entering the scheduler's queue (first
-// submission or retry requeue). Blocked tasks stay counted in QueueDepth
-// until placed.
-func (b *Bus) TaskReady() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.queueDepth++
-}
-
-// TaskBlocked records the indexed matcher parking a queued task behind an
-// unfinished category strategy; the task remains in QueueDepth.
-func (b *Bus) TaskBlocked() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.blocked++
-}
-
-// TaskUnblocked reverses TaskBlocked.
-func (b *Bus) TaskUnblocked() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.blocked--
-}
-
-// TaskPlaced records an attempt start. Non-speculative placements leave
-// the queue and, on the task's first attempt, record `waited` (submit →
-// placement) as scheduling latency; speculative copies only bump the
-// speculation count.
+// TaskPlaced records an attempt start: a task's first non-speculative
+// placement records `waited` (submit → placement) as scheduling latency.
 func (b *Bus) TaskPlaced(category string, speculative bool, attempts int, waited sim.Time) {
-	if b == nil {
+	if b == nil || speculative || attempts != 1 {
 		return
 	}
-	b.advance(b.eng.Now())
-	if speculative {
-		b.speculating++
-		return
-	}
-	b.queueDepth--
-	b.running++
-	if attempts == 1 {
-		b.sched.Observe(float64(waited))
-		b.cat(category).sched.Observe(float64(waited))
-	}
+	b.sched.Observe(float64(waited))
+	b.cat(category).sched.Observe(float64(waited))
 }
 
-// AttemptEnded records an attempt reaching any terminal state —
-// completion, staging failure, loss with its worker, or speculation-race
-// cancellation.
-func (b *Bus) AttemptEnded(speculative bool) {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	if speculative {
-		b.speculating--
-	} else {
-		b.running--
-	}
-}
-
-// TaskFinished records a task completing. Successful tasks record their
-// end-to-end (submit → completion) latency; failures only count.
+// TaskFinished records a task reaching a terminal state. Successful tasks
+// record their end-to-end (submit → completion) latency.
 func (b *Bus) TaskFinished(category string, failed bool, elapsed sim.Time) {
-	if b == nil {
+	if b == nil || failed {
 		return
 	}
-	b.advance(b.eng.Now())
-	if failed {
-		b.failed++
-		return
-	}
-	b.completed++
 	b.e2e.Observe(float64(elapsed))
 	b.cat(category).e2e.Observe(float64(elapsed))
-}
-
-// RetryCharged records a failed attempt being requeued.
-func (b *Bus) RetryCharged() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.retries++
-}
-
-// WorkerJoined records a worker connecting with the given cores.
-func (b *Bus) WorkerJoined(cores float64) {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.workersAlive++
-	b.poolCores += cores
-}
-
-// WorkerLeft records a worker departing (drain, crash, or churn),
-// releasing its cores and whatever allocation it still held.
-func (b *Bus) WorkerLeft(cores, allocated float64, quarantined bool) {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.workersAlive--
-	b.poolCores -= cores
-	b.allocCores -= allocated
-	if quarantined {
-		b.workersQuarantined--
-	}
-}
-
-// AllocCores shifts the pool's allocated-core level (positive on
-// placement, negative on release).
-func (b *Bus) AllocCores(delta float64) {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.allocCores += delta
-}
-
-// WorkerQuarantined records the quarantine breaker tripping on a worker.
-func (b *Bus) WorkerQuarantined() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.workersQuarantined++
-	b.quarantineTrips++
-}
-
-// WorkerUnquarantined records a quarantine lifting (probation expiry or
-// drain).
-func (b *Bus) WorkerUnquarantined() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.workersQuarantined--
-}
-
-// SchedRound records one matching pass and its work counters.
-func (b *Bus) SchedRound(tasks, candidates, wakes int) {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.schedCum.Passes++
-	b.schedCum.Tasks += int64(tasks)
-	b.schedCum.Candidates += int64(candidates)
-	b.schedCum.Wakes += int64(wakes)
 }
 
 // ChaosInjected records one fault injection and keeps it on the recent
@@ -506,61 +365,12 @@ func (b *Bus) ChaosInjected(kind string) {
 	if b == nil {
 		return
 	}
-	now := b.eng.Now()
-	b.advance(now)
 	b.chaosInjected++
 	if len(b.recent) >= tickerCap {
 		copy(b.recent, b.recent[1:])
 		b.recent = b.recent[:tickerCap-1]
 	}
-	b.recent = append(b.recent, ChaosEvent{At: now, Kind: kind})
-}
-
-// ServeOffered records one open-loop arrival offered to the serving
-// frontend's admission pipeline.
-func (b *Bus) ServeOffered() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.offered++
-}
-
-// ServeShed records the shed band dropping an offer (graceful degradation).
-func (b *Bus) ServeShed() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.shedTasks++
-}
-
-// ServeRejected records the hard intake bound rejecting an offer.
-func (b *Bus) ServeRejected() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.rejectedTasks++
-}
-
-// ServeThrottled records a tenant's token bucket dropping an offer.
-func (b *Bus) ServeThrottled() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.throttledTasks++
-}
-
-// ServeBackpressured records a cooperative tenant being paused instead of
-// dropped.
-func (b *Bus) ServeBackpressured() {
-	if b == nil {
-		return
-	}
-	b.advance(b.eng.Now())
-	b.backpressured++
+	b.recent = append(b.recent, ChaosEvent{At: b.eng.Now(), Kind: kind})
 }
 
 // AnomalyFlagged records the telemetry layer flagging a leak/flatline
@@ -569,17 +379,7 @@ func (b *Bus) AnomalyFlagged() {
 	if b == nil {
 		return
 	}
-	b.advance(b.eng.Now())
 	b.anomalies++
-}
-
-// Latest returns the most recently built snapshot (nil before the first
-// boundary seals).
-func (b *Bus) Latest() *Snapshot {
-	if b == nil {
-		return nil
-	}
-	return b.latest
 }
 
 // Finalize seals every remaining boundary up to and including `end` (the
@@ -594,10 +394,9 @@ func (b *Bus) Finalize(end sim.Time) (*RunObs, error) {
 		b.seal(b.next)
 		b.next += b.cadence
 	}
-	b.final = b.build(end, b.tick)
-	b.latest = b.final
+	final := b.build(end, b.tick)
 	if b.enc != nil {
-		b.put(streamLine{Type: "final", Snapshot: b.final})
+		b.put(streamLine{Type: "final", Snapshot: final})
 	}
 	ro := &RunObs{
 		Meta:       b.cfg.Meta,
@@ -605,7 +404,7 @@ func (b *Bus) Finalize(end sim.Time) (*RunObs, error) {
 		Boundaries: b.tick,
 		Stride:     b.stride,
 		Snapshots:  append([]*Snapshot(nil), b.ring...),
-		Final:      b.final,
+		Final:      final,
 	}
 	b.flush()
 	return ro, b.werr
@@ -640,55 +439,4 @@ func (b *Bus) flush() {
 	if err := b.bw.Flush(); err != nil && b.werr == nil {
 		b.werr = err
 	}
-}
-
-// CheckConsistency compares the pushed counters against the master's
-// ground truth. It is exact at quiescence (where the invariant checker
-// runs); mid-run, attempts stranded on a just-removed worker are counted
-// by the bus until their staging resolves. No-op without a truth closure.
-func (b *Bus) CheckConsistency() error {
-	if b == nil || b.truth == nil {
-		return nil
-	}
-	t := b.truth()
-	type pair struct {
-		name      string
-		got, want int
-	}
-	for _, p := range []pair{
-		{"queue depth", b.queueDepth, t.QueueDepth},
-		{"blocked", b.blocked, t.Blocked},
-		{"running", b.running, t.Running},
-		{"speculating", b.speculating, t.Speculating},
-		{"workers alive", b.workersAlive, t.WorkersAlive},
-		{"workers quarantined", b.workersQuarantined, t.WorkersQuarantined},
-		{"submitted", b.submitted, t.Submitted},
-		{"completed", b.completed, t.Completed},
-		{"failed", b.failed, t.Failed},
-	} {
-		if p.got != p.want {
-			return fmt.Errorf("obs: %s drifted: bus has %d, master has %d", p.name, p.got, p.want)
-		}
-	}
-	if math.Abs(b.poolCores-t.PoolCores) > 1e-6 {
-		return fmt.Errorf("obs: pool cores drifted: bus has %g, master has %g", b.poolCores, t.PoolCores)
-	}
-	if math.Abs(b.allocCores-t.AllocatedCores) > 1e-6 {
-		return fmt.Errorf("obs: allocated cores drifted: bus has %g, master has %g", b.allocCores, t.AllocatedCores)
-	}
-	if b.serveTruth != nil {
-		st := b.serveTruth()
-		for _, p := range []pair{
-			{"offered", b.offered, st.Offered},
-			{"shed", b.shedTasks, st.Shed},
-			{"rejected", b.rejectedTasks, st.Rejected},
-			{"throttled", b.throttledTasks, st.Throttled},
-			{"backpressured", b.backpressured, st.Backpressured},
-		} {
-			if p.got != p.want {
-				return fmt.Errorf("obs: serving %s drifted: bus has %d, frontend has %d", p.name, p.got, p.want)
-			}
-		}
-	}
-	return nil
 }

@@ -35,17 +35,34 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-// TestBusBoundarySemantics checks the sealing rule: a boundary B seals on
-// the first push strictly after B, and pushes at exactly t==B land in
-// snapshot(B).
-func TestBusBoundarySemantics(t *testing.T) {
+// stubBus returns a bus over a fresh engine that reads its Truth from the
+// returned stub, so tests drive the bus by changing the stub inside engine
+// events, the way the master changes its books.
+func stubBus(t *testing.T, cfg *Config) (*sim.Engine, *Bus, *Truth) {
+	t.Helper()
 	eng := sim.NewEngine(1)
-	b, err := NewBus(eng, &Config{Cadence: 1 * sim.Second})
+	b, err := NewBus(eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.At(1, func() { b.TaskSubmitted(); b.TaskReady() }) // exactly on boundary 1
-	eng.At(1.5, func() { b.TaskSubmitted(); b.TaskReady() })
+	truth := &Truth{}
+	b.SetTruth(func() Truth { return *truth })
+	return eng, b, truth
+}
+
+// submit is the stub-truth analogue of a master Submit that queues the task.
+func submit(tr *Truth) {
+	tr.Submitted++
+	tr.QueueDepth++
+}
+
+// TestBusBoundarySemantics checks the sealing rule: a boundary B seals
+// when the clock first moves past B, and changes at exactly t==B land in
+// snapshot(B).
+func TestBusBoundarySemantics(t *testing.T) {
+	eng, b, truth := stubBus(t, &Config{Cadence: 1 * sim.Second})
+	eng.At(1, func() { submit(truth) }) // exactly on boundary 1
+	eng.At(1.5, func() { submit(truth) })
 	eng.At(2.5, func() {})
 	end := eng.Run()
 	ro, err := b.Finalize(end)
@@ -63,7 +80,7 @@ func TestBusBoundarySemantics(t *testing.T) {
 	if s := bysSeq[0]; s == nil || s.Submitted != 0 {
 		t.Fatalf("snapshot 0 = %+v, want 0 submitted", bysSeq[0])
 	}
-	// The push at exactly t=1 belongs to snapshot(1); the 1.5 push does not.
+	// The change at exactly t=1 belongs to snapshot(1); the 1.5 one does not.
 	if s := bysSeq[1]; s == nil || s.Submitted != 1 {
 		t.Fatalf("snapshot 1 = %+v, want 1 submitted", bysSeq[1])
 	}
@@ -78,14 +95,10 @@ func TestBusBoundarySemantics(t *testing.T) {
 // TestBusRingDecimation drives many boundaries through a small ring and
 // checks the stride-doubling keeps the ring bounded and evenly strided.
 func TestBusRingDecimation(t *testing.T) {
-	eng := sim.NewEngine(1)
-	b, err := NewBus(eng, &Config{Cadence: 1 * sim.Second, RingCap: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, b, truth := stubBus(t, &Config{Cadence: 1 * sim.Second, RingCap: 8})
 	for i := 1; i <= 100; i++ {
 		at := sim.Time(i)
-		eng.At(at, func() { b.TaskSubmitted() })
+		eng.At(at, func() { truth.Submitted++ })
 	}
 	end := eng.Run()
 	ro, err := b.Finalize(end)
@@ -107,19 +120,16 @@ func TestBusRingDecimation(t *testing.T) {
 
 // TestStreamRoundtrip writes a stream and reads it back.
 func TestStreamRoundtrip(t *testing.T) {
-	eng := sim.NewEngine(1)
 	var buf bytes.Buffer
-	b, err := NewBus(eng, &Config{
+	eng, b, truth := stubBus(t, &Config{
 		Cadence: 1 * sim.Second, Stream: &buf,
 		Meta: StreamMeta{Workload: "w", Strategy: "s", Workers: 3, Seed: 42},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.At(0.5, func() { b.TaskSubmitted(); b.TaskReady() })
+	eng.At(0.5, func() { submit(truth) })
 	eng.At(2.5, func() {
 		b.TaskPlaced("cat", false, 1, 2.0)
-		b.AttemptEnded(false)
+		truth.QueueDepth--
+		truth.Completed++
 		b.TaskFinished("cat", false, 2.5)
 	})
 	end := eng.Run()
@@ -329,7 +339,7 @@ func TestTopThrottleAndRender(t *testing.T) {
 	top := &Top{W: &buf, MinInterval: time.Second, Clock: func() time.Time { return clock }}
 	s := &Snapshot{At: 5, QueueDepth: 3, Running: 2, Submitted: 10, Completed: 4,
 		WorkersAlive: 2, PoolCores: 16, AllocatedCores: 8, Utilization: 0.5,
-		SchedLatency: LatencyQuantiles{Count: 4, P50: 0.1, P99: 0.4, P999: 0.5, Max: 1},
+		SchedLatency:  LatencyQuantiles{Count: 4, P50: 0.1, P99: 0.4, P999: 0.5, Max: 1},
 		ChaosInjected: 1, Events: []ChaosEvent{{At: 2, Kind: "worker-crash"}},
 	}
 	top.OnSnapshot(s) // first frame renders
@@ -355,14 +365,10 @@ func TestTopThrottleAndRender(t *testing.T) {
 // multiple of every stride.
 func TestBusRingCapHitAtBoundary(t *testing.T) {
 	run := func(boundaries int) *RunObs {
-		eng := sim.NewEngine(1)
-		b, err := NewBus(eng, &Config{Cadence: 1 * sim.Second, RingCap: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, b, truth := stubBus(t, &Config{Cadence: 1 * sim.Second, RingCap: 8})
 		// Schedule past the last boundary so `boundaries` seals happen:
-		// boundary k seals on the first push strictly after k.
-		eng.At(sim.Time(boundaries)-0.5, func() { b.TaskSubmitted() })
+		// boundary k seals once the clock moves strictly past k.
+		eng.At(sim.Time(boundaries)-0.5, func() { truth.Submitted++ })
 		end := eng.Run()
 		ro, err := b.Finalize(end)
 		if err != nil {
@@ -400,12 +406,8 @@ func TestBusRingCapHitAtBoundary(t *testing.T) {
 // float accumulation in the boundary walk.
 func TestBusRingEffectiveCadence(t *testing.T) {
 	const cadence = 2.5 * sim.Second
-	eng := sim.NewEngine(1)
-	b, err := NewBus(eng, &Config{Cadence: cadence, RingCap: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.At(150*sim.Second, func() { b.TaskSubmitted() })
+	eng, b, truth := stubBus(t, &Config{Cadence: cadence, RingCap: 8})
+	eng.At(150*sim.Second, func() { truth.Submitted++ })
 	end := eng.Run()
 	ro, err := b.Finalize(end)
 	if err != nil {
@@ -425,35 +427,26 @@ func TestBusRingEffectiveCadence(t *testing.T) {
 	}
 }
 
-// TestBusConsistencyAfterDoubling drives enough boundaries through a small
+// TestBusReadsSourceAfterDoubling drives enough boundaries through a small
 // ring for several halvings and checks decimation only discards retained
-// snapshots: the live counters still reconcile exactly against ground
-// truth, and a skewed truth is still caught.
-func TestBusConsistencyAfterDoubling(t *testing.T) {
-	eng := sim.NewEngine(1)
-	b, err := NewBus(eng, &Config{Cadence: 1 * sim.Second, RingCap: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+// snapshots: every retained snapshot carries the value its source had at
+// that boundary, and the final snapshot reads the source as it is at
+// Finalize, skew included.
+func TestBusReadsSourceAfterDoubling(t *testing.T) {
+	eng, b, truth := stubBus(t, &Config{Cadence: 1 * sim.Second, RingCap: 8})
 	const tasks = 100
-	truth := Truth{}
-	b.SetTruth(func() Truth { return truth })
 	for i := 0; i < tasks; i++ {
 		at := sim.Time(i) + 0.25
 		eng.At(at, func() {
-			b.TaskSubmitted()
-			b.TaskReady()
+			submit(truth)
 			b.TaskPlaced("cat", false, 1, 0)
-			b.AttemptEnded(false)
-			b.TaskFinished("cat", false, 0.1)
-			truth.Submitted++
+			truth.QueueDepth--
 			truth.Completed++
+			b.TaskFinished("cat", false, 0.1)
 		})
 	}
 	end := eng.Run()
-	if err := b.CheckConsistency(); err != nil {
-		t.Fatalf("consistency after doublings: %v", err)
-	}
+	truth.Completed-- // skew the source after the last event
 	ro, err := b.Finalize(end)
 	if err != nil {
 		t.Fatal(err)
@@ -461,12 +454,70 @@ func TestBusConsistencyAfterDoubling(t *testing.T) {
 	if ro.Stride < 16 {
 		t.Fatalf("stride = %d, want >= 16 after %d boundaries", ro.Stride, tasks)
 	}
-	if ro.Final.Submitted != tasks || ro.Final.Completed != tasks {
-		t.Fatalf("final counters %d/%d, want %d/%d", ro.Final.Submitted, ro.Final.Completed, tasks, tasks)
+	// Boundary k follows exactly the k tasks at 0.25 .. k-0.75.
+	for _, s := range ro.Snapshots {
+		if s.Submitted != s.Seq || s.Completed != s.Seq {
+			t.Fatalf("snapshot %d carries %d/%d submitted/completed, source had %d/%d",
+				s.Seq, s.Submitted, s.Completed, s.Seq, s.Seq)
+		}
 	}
-	truth.Completed--
-	if err := b.CheckConsistency(); err == nil {
-		t.Fatal("skewed truth not caught after doubling")
+	if ro.Final.Submitted != tasks || ro.Final.Completed != tasks-1 {
+		t.Fatalf("final counters %d/%d, want the source's %d/%d",
+			ro.Final.Submitted, ro.Final.Completed, tasks, tasks-1)
+	}
+	if ro.Final.E2ELatency.Count != tasks {
+		t.Fatalf("final e2e count %d, want %d", ro.Final.E2ELatency.Count, tasks)
+	}
+}
+
+// TestBusSealsOnClockAdvance pins when a boundary seals: the state changes
+// at t=5.5 and no bus call follows until Finalize. Snapshot 5 must still
+// show the old state and snapshot 6 the new one, so sealing happens as the
+// clock moves, not on the next call into the bus.
+func TestBusSealsOnClockAdvance(t *testing.T) {
+	eng, b, truth := stubBus(t, &Config{Cadence: 1 * sim.Second})
+	eng.At(5.5, func() { submit(truth) })
+	eng.At(9, func() {})
+	end := eng.Run()
+	ro, err := b.Finalize(end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bySeq := map[int]*Snapshot{}
+	for _, s := range ro.Snapshots {
+		bySeq[s.Seq] = s
+	}
+	if s := bySeq[5]; s == nil || s.Submitted != 0 || s.QueueDepth != 0 {
+		t.Fatalf("snapshot 5 = %+v, want the state before t=5.5", bySeq[5])
+	}
+	if s := bySeq[6]; s == nil || s.Submitted != 1 || s.QueueDepth != 1 {
+		t.Fatalf("snapshot 6 = %+v, want the state after t=5.5", bySeq[6])
+	}
+}
+
+// TestBusServeTruth checks the serving counters come from the frontend's
+// closure at seal time, and stay zero without one.
+func TestBusServeTruth(t *testing.T) {
+	eng, b, _ := stubBus(t, &Config{Cadence: 1 * sim.Second})
+	var st ServeTruth
+	b.SetServeTruth(func() ServeTruth { return st })
+	eng.At(0.5, func() { st.Offered, st.Shed = 3, 1 })
+	eng.At(1.5, func() { st.Offered, st.Rejected, st.Throttled, st.Backpressured = 7, 2, 1, 1 })
+	eng.At(2.5, func() {})
+	end := eng.Run()
+	ro, err := b.Finalize(end)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := ro.Snapshots[1]; s.Offered != 3 || s.Shed != 1 || s.Rejected != 0 {
+		t.Fatalf("snapshot 1 serving = %+v", s)
+	}
+	if s := ro.Snapshots[2]; s.Offered != 7 || s.Rejected != 2 || s.Throttled != 1 || s.Backpressured != 1 {
+		t.Fatalf("snapshot 2 serving = %+v", s)
+	}
+	_, bare, _ := stubBus(t, nil)
+	if ro, _ := bare.Finalize(3); ro.Final.Offered != 0 {
+		t.Fatalf("bus without a frontend reports serving counters: %+v", ro.Final)
 	}
 }
 
@@ -475,13 +526,9 @@ func TestBusConsistencyAfterDoubling(t *testing.T) {
 // streams still parse, and a stream from a newer writer is refused with a
 // typed *StreamVersionError instead of being misparsed.
 func TestReadStreamVersion(t *testing.T) {
-	eng := sim.NewEngine(1)
 	var buf bytes.Buffer
-	b, err := NewBus(eng, &Config{Cadence: 1 * sim.Second, Stream: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.At(0.5, func() { b.TaskSubmitted() })
+	eng, b, truth := stubBus(t, &Config{Cadence: 1 * sim.Second, Stream: &buf})
+	eng.At(0.5, func() { truth.Submitted++ })
 	end := eng.Run()
 	if _, err := b.Finalize(end); err != nil {
 		t.Fatal(err)

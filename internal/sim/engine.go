@@ -134,6 +134,8 @@ type Engine struct {
 	freeSlots []*eslot
 	// deferred holds end-of-timestamp procedures (see Defer), FIFO.
 	deferred []func()
+	// onAdvance, if set, observes each clock advance (see OnAdvance).
+	onAdvance func(next Time)
 
 	// Processed counts callbacks dispatched so far — timed events plus
 	// deferred procedures; useful for runaway guards.
@@ -234,6 +236,15 @@ func (e *Engine) Defer(fn func()) {
 	e.deferred = append(e.deferred, fn)
 }
 
+// OnAdvance installs a passive observer of the clock: RunUntil calls fn
+// just before Now moves to a later timestamp `next`, after every event and
+// deferred procedure of the current timestamp has run. It never fires for
+// an event at the current time, nor past the last dispatched event, and
+// Now still returns the old time inside it. fn must not schedule, cancel,
+// or stop anything: it sees the state between two timestamps, not a round
+// of its own. A nil fn removes the observer.
+func (e *Engine) OnAdvance(fn func(next Time)) { e.onAdvance = fn }
+
 // Cancel removes a pending event. It is safe to call on zero-value, fired,
 // or already-cancelled handles.
 func (e *Engine) Cancel(ev Event) {
@@ -281,6 +292,9 @@ func (e *Engine) RunUntil(limit Time) Time {
 				continue
 			}
 			break
+		}
+		if s.at > e.now && e.onAdvance != nil {
+			e.onAdvance(s.at)
 		}
 		e.now = s.at
 		fn := s.fn

@@ -107,6 +107,55 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// TestEngineOnAdvance pins the clock-advance hook's contract: it fires
+// once per distinct later timestamp, after that timestamp's deferred
+// procedures, with Now still at the old time, and never past the last
+// dispatched event.
+func TestEngineOnAdvance(t *testing.T) {
+	e := NewEngine(1)
+	var log []string
+	type adv struct{ from, to Time }
+	var advances []adv
+	e.OnAdvance(func(next Time) {
+		advances = append(advances, adv{e.Now(), next})
+		log = append(log, "advance")
+	})
+	for _, at := range []Time{0, 1, 1, 2.5, 2.5, 2.5, 4, 7} {
+		e.At(at, func() {
+			log = append(log, "event")
+			e.Defer(func() { log = append(log, "defer") })
+		})
+	}
+	e.RunUntil(4)
+	want := []adv{{0, 1}, {1, 2.5}, {2.5, 4}}
+	if len(advances) != len(want) {
+		t.Fatalf("advances = %v, want %v", advances, want)
+	}
+	for i := range want {
+		if advances[i] != want[i] {
+			t.Fatalf("advance %d = %v, want %v (Now must still be the old time)", i, advances[i], want[i])
+		}
+	}
+	// Every advance follows the previous timestamp's deferred procedures.
+	for i, entry := range log {
+		if entry == "advance" && log[i-1] != "defer" {
+			t.Fatalf("advance at log[%d] follows %q, want a deferred procedure: %v", i, log[i-1], log)
+		}
+	}
+	// The event at 7 stays queued past the limit: no advance toward it.
+	if e.Now() != 4 || len(advances) != 3 {
+		t.Fatalf("now = %v, advances = %d after RunUntil(4)", e.Now(), len(advances))
+	}
+	if end := e.Run(); end != 7 || len(advances) != 4 || advances[3] != (adv{4, 7}) {
+		t.Fatalf("end = %v, advances = %v, want the last one 4 -> 7", end, advances)
+	}
+	// A drained engine never advances again.
+	e.Run()
+	if len(advances) != 4 {
+		t.Fatalf("drained engine advanced: %v", advances)
+	}
+}
+
 func TestEngineStop(t *testing.T) {
 	e := NewEngine(1)
 	count := 0

@@ -46,11 +46,11 @@ type AttemptSummary struct {
 type RunTelemetry struct {
 	Meta RunMeta `json:"meta"`
 	// SeriesCap is the per-series point bound the run was recorded under.
-	SeriesCap int               `json:"series_cap"`
-	Profiles  []*ProfileSummary `json:"profiles,omitempty"`
-	Nodes     []*NodeSummary    `json:"nodes,omitempty"`
-	Attempts  []AttemptSummary  `json:"attempts,omitempty"`
-	Anomalies []Anomaly         `json:"anomalies,omitempty"`
+	SeriesCap int                `json:"series_cap"`
+	Profiles  []*ProfileSummary  `json:"profiles,omitempty"`
+	Nodes     []*NodeSummary     `json:"nodes,omitempty"`
+	Attempts  []AttemptSummary   `json:"attempts,omitempty"`
+	Anomalies []Anomaly          `json:"anomalies,omitempty"`
 	Util      UtilizationSummary `json:"util"`
 }
 
@@ -114,13 +114,13 @@ func checkPoints(pts []Point, cap, raw int, peak *monitor.Resources) error {
 // field is set accordingly. A run is a "meta" line followed by its records;
 // files concatenate runs.
 type jsonlLine struct {
-	Type      string              `json:"type"`
-	Meta      *metaLine           `json:"meta,omitempty"`
-	Profile   *ProfileSummary     `json:"profile,omitempty"`
-	Node      *NodeSummary        `json:"node,omitempty"`
-	Attempt   *AttemptSummary     `json:"attempt,omitempty"`
-	Anomaly   *Anomaly            `json:"anomaly,omitempty"`
-	Util      *UtilizationSummary `json:"util,omitempty"`
+	Type    string              `json:"type"`
+	Meta    *metaLine           `json:"meta,omitempty"`
+	Profile *ProfileSummary     `json:"profile,omitempty"`
+	Node    *NodeSummary        `json:"node,omitempty"`
+	Attempt *AttemptSummary     `json:"attempt,omitempty"`
+	Anomaly *Anomaly            `json:"anomaly,omitempty"`
+	Util    *UtilizationSummary `json:"util,omitempty"`
 }
 
 // ExportVersion is the telemetry JSONL schema version, stamped on every

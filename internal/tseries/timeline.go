@@ -22,12 +22,12 @@ type nodeTimeline struct {
 	allocSeries *Series
 	usedSeries  *Series
 
-	lastAt      sim.Time
-	capCoreSec  float64
-	allocCS     float64
-	usedCS      float64
-	allocMemS   float64 // MB-seconds, for memory waste accounting
-	usedMemS    float64
+	lastAt     sim.Time
+	capCoreSec float64
+	allocCS    float64
+	usedCS     float64
+	allocMemS  float64 // MB-seconds, for memory waste accounting
+	usedMemS   float64
 }
 
 func newNodeTimeline(id int, capacity monitor.Resources, now sim.Time, cap int) *nodeTimeline {

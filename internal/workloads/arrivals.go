@@ -65,7 +65,9 @@ type Diurnal struct {
 }
 
 // Name implements Arrival.
-func (d *Diurnal) Name() string { return fmt.Sprintf("diurnal(%g/s ±%.0f%%)", d.Base, 100*d.Amplitude) }
+func (d *Diurnal) Name() string {
+	return fmt.Sprintf("diurnal(%g/s ±%.0f%%)", d.Base, 100*d.Amplitude)
+}
 
 // Validate implements Arrival.
 func (d *Diurnal) Validate() error {

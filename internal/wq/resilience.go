@@ -207,7 +207,6 @@ func (m *Master) failStaging(a *attempt, f *File) {
 	t, w := a.t, a.w
 	w.dropAttempt(a)
 	t.dropActive(a)
-	m.obs.AttemptEnded(a.speculative)
 	m.releaseAttempt(a)
 	rs := m.stats.resilience()
 	rs.StagingFailures++
@@ -242,7 +241,6 @@ func (m *Master) loseAttempt(a *attempt) {
 	t := a.t
 	a.w.dropAttempt(a)
 	t.dropActive(a)
-	m.obs.AttemptEnded(a.speculative)
 	if !a.speculative {
 		t.Attempts--
 	}
@@ -267,7 +265,6 @@ func (m *Master) cancelAttempt(a *attempt) {
 	a.done = true
 	a.w.dropAttempt(a)
 	a.t.dropActive(a)
-	m.obs.AttemptEnded(a.speculative)
 	if a.exec != nil {
 		a.exec.Abort()
 	}
@@ -302,7 +299,6 @@ func (m *Master) workerAttemptFailed(w *Worker) {
 		return
 	}
 	w.quarantined = true
-	m.obs.WorkerQuarantined()
 	if m.sched != nil {
 		m.sched.exclude(w)
 	}
@@ -327,7 +323,6 @@ func (m *Master) workerAttemptFailed(w *Worker) {
 			return
 		}
 		w.quarantined = false
-		m.obs.WorkerUnquarantined()
 		w.consecFails = 0
 		if m.sched != nil {
 			m.sched.admit(w)
@@ -432,9 +427,6 @@ func (m *Master) drainCheck() {
 		if !w.probationEv.Cancelled() {
 			m.Eng.Cancel(w.probationEv)
 			w.probationEv = sim.Event{}
-			if w.quarantined {
-				m.obs.WorkerUnquarantined()
-			}
 			w.quarantined = false
 			w.consecFails = 0
 			if m.sched != nil {

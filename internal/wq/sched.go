@@ -451,7 +451,6 @@ func (s *schedState) strategyObserved(cat string) {
 		n := cb.unpinned.min()
 		cb.unpinned.remove(n.key)
 		s.nblocked--
-		s.m.obs.TaskUnblocked()
 		heap.Push(&s.readyQ, n.be.t)
 	}
 }
@@ -490,7 +489,6 @@ func (s *schedState) block(t *Task, dec alloc.Decision) {
 		cb.unpinned.insert(n)
 	}
 	s.nblocked++
-	s.m.obs.TaskBlocked()
 }
 
 // unblock removes one blocked entry prior to re-examination.
@@ -501,7 +499,6 @@ func (s *schedState) unblock(cb *catBlocked, n *tnode) {
 		cb.unpinned.remove(n.key)
 	}
 	s.nblocked--
-	s.m.obs.TaskUnblocked()
 }
 
 // decFitsDirty reports whether the decision fits any dirty worker right
@@ -645,8 +642,6 @@ func (m *Master) schedulePassIndexed() {
 	st := &m.schedStats
 	st.Passes++
 	candBefore := st.CandidatesExamined
-	tasksBefore := st.TasksExamined
-	wakesBefore := st.BlockedWakes
 	queued := int64(len(s.readyQ) + s.nblocked)
 	st.ScanTasksExamined += queued
 	st.ScanCandidatesExamined += queued * int64(len(m.workers))
@@ -675,8 +670,6 @@ func (m *Master) schedulePassIndexed() {
 	s.dirty = s.dirty[:0]
 	elapsed := time.Since(start)
 	st.ElapsedNanos += elapsed.Nanoseconds()
-	m.obs.SchedRound(int(st.TasksExamined-tasksBefore), int(st.CandidatesExamined-candBefore),
-		int(st.BlockedWakes-wakesBefore))
 	m.met.onSchedPass(st.CandidatesExamined-candBefore, elapsed)
 }
 

@@ -352,8 +352,9 @@ type Master struct {
 	// telem, if set, collects per-attempt usage series and node utilization
 	// timelines (see SetTelemetry). All calls through it are nil-safe.
 	telem *tseries.Collector
-	// obs, if set, receives every observable state change for cadence
-	// snapshots (see SetObs). All calls through it are nil-safe.
+	// obs, if set, seals cadence snapshots from the master's state and
+	// receives the latency pushes (see SetObs). Calls through it are
+	// nil-safe.
 	obs *obs.Bus
 
 	scheduling bool
@@ -476,7 +477,6 @@ func (m *Master) AddWorker(node *cluster.Node) *Worker {
 	}
 	m.workers = append(m.workers, w)
 	m.poolCores += node.Cores
-	m.obs.WorkerJoined(node.Cores)
 	if m.sched != nil {
 		m.sched.workerJoined(w)
 	}
@@ -501,7 +501,6 @@ func (m *Master) RemoveWorker(w *Worker) {
 	w.alive = false
 	m.poolCores -= w.Node.Cores
 	m.poolUsedCores -= w.usedCores
-	m.obs.WorkerLeft(w.Node.Cores, w.usedCores, w.quarantined)
 	m.Eng.Cancel(w.suspectEv)
 	if m.sched != nil {
 		m.sched.workerLeft(w)
@@ -538,7 +537,6 @@ func (m *Master) Submit(t *Task) {
 	t.SubmittedAt = m.Eng.Now()
 	t.State = TaskWaiting
 	m.stats.Submitted++
-	m.obs.TaskSubmitted()
 	m.met.onSubmit(t)
 	m.traceSubmit(t)
 	m.armSpeculation()
@@ -577,7 +575,6 @@ func (m *Master) failDependent(t *Task) {
 
 func (m *Master) makeReady(t *Task) {
 	t.State = TaskReady
-	m.obs.TaskReady()
 	m.traceReady(t)
 	if m.sched != nil {
 		m.sched.taskReady(t)
@@ -618,7 +615,6 @@ func (m *Master) schedulePass() {
 	st := &m.schedStats
 	st.Passes++
 	candBefore := st.CandidatesExamined
-	tasksBefore := st.TasksExamined
 	var remaining []*Task
 	for _, t := range m.ready {
 		if !m.place(t) {
@@ -628,7 +624,6 @@ func (m *Master) schedulePass() {
 	m.ready = remaining
 	elapsed := time.Since(start)
 	st.ElapsedNanos += elapsed.Nanoseconds()
-	m.obs.SchedRound(int(st.TasksExamined-tasksBefore), int(st.CandidatesExamined-candBefore), 0)
 	m.met.onSchedPass(st.CandidatesExamined-candBefore, elapsed)
 }
 
@@ -670,7 +665,6 @@ func (m *Master) allocCapacity(w *Worker, req monitor.Resources) {
 	m.account()
 	if w.alive {
 		m.poolUsedCores += req.Cores
-		m.obs.AllocCores(req.Cores)
 	}
 	w.usedCores += req.Cores
 	w.usedMemMB += req.MemoryMB
@@ -691,7 +685,6 @@ func (m *Master) releaseCapacity(w *Worker, req monitor.Resources) {
 		// Removed workers already surrendered their whole allocation when
 		// they left the pool aggregates; only live releases adjust them.
 		m.poolUsedCores -= req.Cores
-		m.obs.AllocCores(-req.Cores)
 	}
 	w.usedCores -= req.Cores
 	w.usedMemMB -= req.MemoryMB
@@ -808,7 +801,6 @@ func (m *Master) startAttempt(t *Task, w *Worker, dec alloc.Decision, speculativ
 			a.done = true
 			w.dropAttempt(a)
 			t.dropActive(a)
-			m.obs.AttemptEnded(a.speculative)
 			t.Report = rep
 			m.Cfg.Strategy.Observe(t.Category, rep)
 			if m.sched != nil {
@@ -979,7 +971,6 @@ func (m *Master) finishAttempt(t *Task, rep monitor.Report) {
 		return
 	}
 	m.stats.Retries++
-	m.obs.RetryCharged()
 	dec := m.Cfg.Strategy.Retry(t.Category, t.Attempts)
 	if m.sched != nil {
 		m.sched.strategyObserved(t.Category)
@@ -1058,11 +1049,6 @@ func (m *Master) CheckInvariants() error {
 			return fmt.Errorf("wq: worker %d leaked capacity %v", w.Node.ID, monitor.Resources{
 				Cores: w.usedCores, MemoryMB: w.usedMemMB, DiskMB: w.usedDiskMB})
 		}
-	}
-	// With a snapshot bus attached, its pushed counters must agree with the
-	// master's ground truth — the streaming plane's own invariant.
-	if err := m.obs.CheckConsistency(); err != nil {
-		return err
 	}
 	return nil
 }

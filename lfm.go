@@ -42,13 +42,13 @@ import (
 	"lfm/internal/metrics"
 	"lfm/internal/monitor"
 	"lfm/internal/obs"
-	"lfm/internal/serve"
 	"lfm/internal/parsl"
 	"lfm/internal/procmon"
 	"lfm/internal/pyast"
 	"lfm/internal/pypkg"
 	"lfm/internal/runarchive"
 	"lfm/internal/scenario"
+	"lfm/internal/serve"
 	"lfm/internal/sim"
 	"lfm/internal/trace"
 	"lfm/internal/tseries"
