@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -164,10 +163,6 @@ func cost(rounds, tasks, candidates int64, schedNanos int64, wall time.Duration)
 	return c
 }
 
-// runScale sweeps the scheduler over growing backlogs and pools, measures
-// the indexed matcher against the linear scan's counterfactual cost,
-// re-runs the smallest point under the real scan to byte-verify identical
-// output, and writes the JSON report.
 // parsePoints parses a "TASKSxWORKERS,..." override list.
 func parsePoints(spec string) ([]scalePoint, error) {
 	var pts []scalePoint
@@ -181,7 +176,11 @@ func parsePoints(spec string) ([]scalePoint, error) {
 	return pts, nil
 }
 
-func runScale(seed int64, quick bool, outPath, pointSpec string) error {
+// runScale sweeps the scheduler over growing backlogs and pools, measures
+// the indexed matcher against the linear scan's counterfactual cost,
+// re-runs the smallest point under the real scan to byte-verify identical
+// output, and writes the JSON report.
+func runScale(seed int64, quick bool, outPath, pointSpec string, stdout, stderr io.Writer) error {
 	points := []scalePoint{{2000, 128}, {10000, 512}, {100000, 5000}, {1000000, 50000}}
 	dualMax := 2000
 	// Every pre-existing point re-runs on the legacy heap engine for
@@ -204,7 +203,8 @@ func runScale(seed int64, quick bool, outPath, pointSpec string) error {
 			return err
 		}
 	}
-	rep := scaleReport{SchemaVersion: 1, GeneratedBy: "lfmbench -scale", Quick: quick, Seed: seed}
+	rep := scaleReport{SchemaVersion: 1, GeneratedBy: "lfm bench -scale", Quick: quick, Seed: seed}
+	msg := statusWriter(stdout, stderr, outPath)
 	for _, p := range points {
 		dual := p.Tasks <= dualMax
 		out, trIdx, wall, err := scaleRun(seed, p, lfm.MatcherIndexed, lfm.QueueCalendar, dual, nil)
@@ -251,10 +251,6 @@ func runScale(seed int64, quick bool, outPath, pointSpec string) error {
 				return fmt.Errorf("scale point %dx%d: counterfactual scan cost %d != measured %d",
 					p.Tasks, p.Workers, s.ScanCandidatesExamined, ss.CandidatesExamined)
 			}
-		}
-		msg := io.Writer(os.Stdout)
-		if outPath == "-" {
-			msg = os.Stderr
 		}
 		if p.Tasks <= heapDualMax {
 			outHeap, trHeap, wallHeap, err := scaleRun(seed, p, lfm.MatcherIndexed, lfm.QueueHeap, dual, nil)
@@ -360,9 +356,5 @@ func runScale(seed int64, quick bool, outPath, pointSpec string) error {
 			res.ScanEquivalent.CandidatesPerRound, res.ReductionCandidatesPerRound,
 			res.Indexed.SchedMillis, wall.Seconds())
 	}
-	return writeTo(outPath, func(f io.Writer) error {
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		return enc.Encode(&rep)
-	})
+	return writeJSON(outPath, stdout, &rep)
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
@@ -87,7 +86,7 @@ func serveOnce(seed int64, rate, window float64) (*lfm.Outcome, error) {
 // writes BENCH_serving.json. The sweep demonstrates graceful degradation:
 // past saturation the accept fraction falls while accepted-work p99 e2e
 // latency stays bounded.
-func runServe(seed int64, quick bool, outPath, loadsSpec string) error {
+func runServe(seed int64, quick bool, outPath, loadsSpec string, stdout, stderr io.Writer) error {
 	loads := []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0}
 	window := 600.0
 	if quick {
@@ -113,10 +112,7 @@ func runServe(seed int64, quick bool, outPath, loadsSpec string) error {
 		Window: window, MaxInflight: 256, ShedWatermark: 192, Seed: seed,
 	}
 
-	msg := io.Writer(os.Stdout)
-	if outPath == "-" {
-		msg = os.Stderr
-	}
+	msg := statusWriter(stdout, stderr, outPath)
 	fmt.Fprintf(msg, "open-loop serving sweep: %d four-core ndcrc workers, capacity %.1f tasks/s, window %.0fs\n",
 		rep.Workers, capacity, window)
 	tw := newServeTable(msg)
@@ -166,17 +162,9 @@ func runServe(seed int64, quick bool, outPath, loadsSpec string) error {
 			}
 		}
 	}
-	tw.flush()
 	fmt.Fprintf(msg, "deterministic: %v (heaviest point re-run byte-identical)\n", rep.Deterministic)
 
-	return writeTo(outPath, func(f io.Writer) error {
-		b, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		_, err = f.Write(append(b, '\n'))
-		return err
-	})
+	return writeJSON(outPath, stdout, rep)
 }
 
 // serveTable renders sweep points as an aligned progress table.
@@ -195,5 +183,3 @@ func (t *serveTable) row(p servePoint) {
 		p.Load, p.Offered, p.Accepted, p.Shed, p.Rejected, p.Throttled,
 		p.PeakInflight, p.E2EP50, p.E2EP99)
 }
-
-func (t *serveTable) flush() {}

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
 	"text/tabwriter"
 
 	"lfm"
@@ -27,7 +26,7 @@ var telemetrySweepPoints = []telemetryPoint{
 // runTelemetry executes telemetry-enabled runs and writes their combined
 // JSONL export. Without -telemetry-sweep it records one HEP/auto run; with
 // it, every paper workload under every strategy, followed by a waste table.
-func runTelemetry(seed int64, quick, sweep bool, outPath string) error {
+func runTelemetry(seed int64, quick, sweep bool, outPath string, stdout io.Writer) error {
 	type row struct {
 		workload, strategy string
 		util               lfm.TelemetryUtilization
@@ -74,7 +73,7 @@ func runTelemetry(seed int64, quick, sweep bool, outPath string) error {
 		}
 	}
 
-	if err := writeTo(outPath, func(f io.Writer) error {
+	if err := writeTo(outPath, stdout, func(f io.Writer) error {
 		for _, rt := range recorded {
 			if err := rt.WriteJSONL(f); err != nil {
 				return err
@@ -85,7 +84,7 @@ func runTelemetry(seed int64, quick, sweep bool, outPath string) error {
 		return err
 	}
 
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tstrategy\tmakespan(s)\talloc-core-s\tused-core-s\twaste\tpacking\tanomalies")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%s\t%.0f\t%.0f\t%.0f\t%.1f%%\t%.1f%%\t%d\n",
@@ -96,6 +95,6 @@ func runTelemetry(seed int64, quick, sweep bool, outPath string) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("telemetry for %d run(s) written to %s\n", len(recorded), outPath)
+	fmt.Fprintf(stdout, "telemetry for %d run(s) written to %s\n", len(recorded), outPath)
 	return nil
 }

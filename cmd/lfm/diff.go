@@ -1,31 +1,6 @@
-// Command lfmdiff is the differential observability tool: it compares two
-// run archives metric by metric, explains determinism breaks by bisecting
-// to the first divergent scheduler event, and gates the canned scenario
-// suite against committed baseline archives.
-//
-// Usage:
-//
-//	lfmdiff compare BASE.lfma CAND.lfma [-rel F] [-json FILE]
-//	lfmdiff explain BASE.lfma CAND.lfma
-//	lfmdiff gate [-baselines DIR] [-scenarios a,b] [-rel F]
-//	             [-perturb NAME] [-refresh] [-json FILE] [-md FILE]
-//
-// `compare` prints the classified metric table (exit 3 when anything
-// regressed). `explain` handles the "same config, different digest" case:
-// it binary-searches both archives' scheduler event streams to the first
-// divergent event and exits 3 on divergence. `gate` re-runs the canned
-// scenarios and diffs each against baselines/NAME.lfma, failing (exit 3)
-// on any regression beyond the noise thresholds — `make diff` wires it
-// into CI. `-refresh` rewrites the baselines instead (review the git diff
-// before committing, mirroring `lfmscenario export -refresh`). `-perturb`
-// applies a named config mutation to the fresh runs, the gate's
-// self-test: a perturbed gate run must fail.
 package main
 
 import (
-	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -36,69 +11,35 @@ import (
 	"lfm"
 )
 
-// exitRegression is the exit status for "the comparison worked and found a
-// regression / divergence" — distinct from 1 (operational error) and 2
-// (usage), mirroring the other CLIs' unhealthy-verdict convention.
-const exitRegression = 3
-
-// errRegression marks verdict failures so main can exit with
-// exitRegression instead of 1.
-type errRegression struct{ msg string }
-
-func (e *errRegression) Error() string { return e.msg }
-
-func main() {
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() < 1 {
-		usage()
-		os.Exit(2)
-	}
-	cmd, args := flag.Arg(0), flag.Args()[1:]
-	var err error
-	switch cmd {
-	case "compare":
-		err = cmdCompare(os.Stdout, args)
-	case "explain":
-		err = cmdExplain(os.Stdout, args)
-	case "gate":
-		err = cmdGate(os.Stdout, args)
-	default:
-		fmt.Fprintf(os.Stderr, "lfmdiff: unknown command %q\n", cmd)
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lfmdiff: %v\n", err)
-		var reg *errRegression
-		if errors.As(err, &reg) {
-			os.Exit(exitRegression)
-		}
-		os.Exit(1)
-	}
+// cmdDiff is the differential observability tool: it compares two run
+// archives metric by metric, explains determinism breaks by bisecting to
+// the first divergent scheduler event, and gates the canned scenario suite
+// against committed baseline archives.
+//
+// `compare` prints the classified metric table (exit 3 when anything
+// regressed). `explain` handles the "same config, different digest" case:
+// it binary-searches both archives' scheduler event streams to the first
+// divergent event and exits 3 on divergence. `gate` re-runs the canned
+// scenarios and diffs each against baselines/NAME.lfma, failing (exit 3)
+// on any regression beyond the noise thresholds — `make diff` wires it
+// into CI. `-refresh` rewrites the baselines instead (review the git diff
+// before committing, mirroring `lfm scenario export -refresh`). `-perturb`
+// applies a named config mutation to the fresh runs, the gate's
+// self-test: a perturbed gate run must fail.
+func cmdDiff(args []string, stdout, stderr io.Writer) error {
+	return dispatch("lfm diff", diffUsage, map[string]handler{
+		"compare": cmdCompare,
+		"explain": cmdExplain,
+		"gate":    cmdGate,
+	}, args, stdout, stderr)
 }
 
-func usage() {
-	fmt.Fprint(os.Stderr, `usage:
-  lfmdiff compare BASE.lfma CAND.lfma [-rel F] [-json FILE]
-  lfmdiff explain BASE.lfma CAND.lfma
-  lfmdiff gate [-baselines DIR] [-scenarios a,b] [-rel F]
-               [-perturb NAME] [-refresh] [-json FILE] [-md FILE]
-`)
-}
-
-// parseArgs peels leading positionals off before flag parsing, so
-// `lfmdiff compare a b -json r.json` and `lfmdiff compare -json r.json a b`
-// both work (same idiom as lfmscenario).
-func parseArgs(fs *flag.FlagSet, args []string) []string {
-	var pos []string
-	for len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		pos = append(pos, args[0])
-		args = args[1:]
-	}
-	fs.Parse(args)
-	return append(pos, fs.Args()...)
-}
+const diffUsage = `usage:
+  lfm diff compare BASE.lfma CAND.lfma [-rel F] [-json FILE]
+  lfm diff explain BASE.lfma CAND.lfma
+  lfm diff gate [-baselines DIR] [-scenarios a,b] [-rel F]
+                [-perturb NAME] [-refresh] [-json FILE] [-md FILE]
+`
 
 // loadArchive reads and validates one archive file.
 func loadArchive(path string) (*lfm.RunArchive, error) {
@@ -184,28 +125,17 @@ func regressionError(prefix string, r *lfm.DiffReport) error {
 	for _, m := range r.Regressions() {
 		parts = append(parts, fmt.Sprintf("%s %+.4g (%.4g -> %.4g)", m.Name, m.Delta, m.Base, m.Cand))
 	}
-	return &errRegression{msg: prefix + "regressed: " + strings.Join(parts, ", ")}
+	return verdictError(prefix + "regressed: " + strings.Join(parts, ", "))
 }
 
-func writeJSON(path string, v any) error {
-	if path == "" {
-		return nil
-	}
-	f, err := os.Create(path)
+func cmdCompare(args []string, w, stderr io.Writer) error {
+	fs := newFlags("lfm diff compare", stderr)
+	rel := fs.Float64("rel", 0, "override the relative noise threshold (default 0.05)")
+	jsonOut := fs.String("json", "", "write the DiffReport as JSON to this file")
+	pos, err := parseArgs(fs, args)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
-}
-
-func cmdCompare(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	rel := fs.Float64("rel", 0, "override the relative noise threshold (default 0.05)")
-	jsonOut := fs.String("json", "", "write the DiffReport as JSON to this file")
-	pos := parseArgs(fs, args)
 	if len(pos) != 2 {
 		return fmt.Errorf("compare needs exactly two archive files")
 	}
@@ -219,8 +149,10 @@ func cmdCompare(w io.Writer, args []string) error {
 	}
 	r := lfm.DiffArchives(base, cand, thresholds(*rel))
 	renderReport(w, r)
-	if err := writeJSON(*jsonOut, r); err != nil {
-		return err
+	if *jsonOut != "" {
+		if err := writeJSON(*jsonOut, w, r); err != nil {
+			return err
+		}
 	}
 	if r.Regressed > 0 {
 		return regressionError("", r)
@@ -228,9 +160,11 @@ func cmdCompare(w io.Writer, args []string) error {
 	return nil
 }
 
-func cmdExplain(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	pos := parseArgs(fs, args)
+func cmdExplain(args []string, w, stderr io.Writer) error {
+	pos, err := parseArgs(newFlags("lfm diff explain", stderr), args)
+	if err != nil {
+		return err
+	}
 	if len(pos) != 2 {
 		return fmt.Errorf("explain needs exactly two archive files")
 	}
@@ -256,22 +190,22 @@ func explain(w io.Writer, base, cand *lfm.RunArchive) error {
 		return nil
 	case !r.SameConfig:
 		fmt.Fprintf(w, "configs differ: the runs are different experiments, not a determinism break\n")
-		fmt.Fprintf(w, "(use `lfmdiff compare` for the metric-level diff)\n")
+		fmt.Fprintf(w, "(use `lfm diff compare` for the metric-level diff)\n")
 		return nil
 	}
 	if len(base.Events) == 0 || len(cand.Events) == 0 {
-		return fmt.Errorf("same config but digests differ, and %s archive has no event stream: re-archive with events (lfmscenario run -archive writes them)",
+		return fmt.Errorf("same config but digests differ, and %s archive has no event stream: re-archive with events (lfm scenario run -archive writes them)",
 			map[bool]string{true: "the base", false: "the candidate"}[len(base.Events) == 0])
 	}
 	d := lfm.BisectEventStreams(base.Events, cand.Events)
 	if d == nil {
 		fmt.Fprintf(w, "digests differ but the %d-event scheduler streams are identical: the divergence is outside the event stream (summary/telemetry layer)\n", len(base.Events))
-		return &errRegression{msg: "digest mismatch not attributable to the event stream"}
+		return verdictError("digest mismatch not attributable to the event stream")
 	}
 	fmt.Fprintf(w, "same config, digests differ: first divergence at %s\n", d)
 	fmt.Fprintf(w, "(%d events compared; everything before index %d is identical)\n",
 		len(base.Events), d.Index)
-	return &errRegression{msg: fmt.Sprintf("determinism break at event %d", d.Index)}
+	return verdictf("determinism break at event %d", d.Index)
 }
 
 // gateEntry is one scenario's gate outcome in the JSON artifact.
@@ -282,15 +216,15 @@ type gateEntry struct {
 	Report   *lfm.DiffReport `json:"report,omitempty"`
 }
 
-// gateReport is the `lfmdiff gate -json` artifact.
+// gateReport is the `lfm diff gate -json` artifact.
 type gateReport struct {
 	SchemaVersion int         `json:"schema_version"`
 	Perturb       string      `json:"perturb,omitempty"`
 	Entries       []gateEntry `json:"entries"`
 }
 
-func cmdGate(w io.Writer, args []string) error {
-	fs := flag.NewFlagSet("gate", flag.ExitOnError)
+func cmdGate(args []string, w, stderr io.Writer) error {
+	fs := newFlags("lfm diff gate", stderr)
 	dir := fs.String("baselines", "baselines", "directory of committed baseline archives")
 	names := fs.String("scenarios", "", "comma-separated scenario subset (default: all canned scenarios)")
 	rel := fs.Float64("rel", 0, "override the relative noise threshold (default 0.05)")
@@ -298,7 +232,10 @@ func cmdGate(w io.Writer, args []string) error {
 	refresh := fs.Bool("refresh", false, "rewrite the baseline archives from fresh runs instead of diffing")
 	jsonOut := fs.String("json", "", "write the gate report as JSON to this file")
 	mdOut := fs.String("md", "", "write the gate summary as a markdown table to this file")
-	pos := parseArgs(fs, args)
+	pos, err := parseArgs(fs, args)
+	if err != nil {
+		return err
+	}
 	if len(pos) != 0 {
 		return fmt.Errorf("gate takes no positional arguments (use -scenarios)")
 	}
@@ -335,7 +272,7 @@ func cmdGate(w io.Writer, args []string) error {
 		entry := gateEntry{Scenario: s.Name, Baseline: path}
 		// Baselines are written without the event stream: the gate
 		// compares metrics, and compact baselines keep the git history
-		// reviewable. `lfmscenario run -archive` writes events for
+		// reviewable. `lfm scenario run -archive` writes events for
 		// bisection work.
 		_, arch, err := lfm.RunScenarioArchived(s, lfm.ScenarioArchiveOptions{Customize: customize})
 		if err != nil {
@@ -375,11 +312,16 @@ func cmdGate(w io.Writer, args []string) error {
 			fmt.Fprintf(w, "    ! %-28s %+.4g (%.4g -> %.4g)\n", m.Name, m.Delta, m.Base, m.Cand)
 		}
 	}
-	if err := writeJSON(*jsonOut, rep); err != nil {
-		return err
+	if *jsonOut != "" {
+		if err := writeJSON(*jsonOut, w, rep); err != nil {
+			return err
+		}
 	}
 	if *mdOut != "" {
-		if err := os.WriteFile(*mdOut, []byte(gateMarkdown(&rep)), 0o644); err != nil {
+		if err := writeTo(*mdOut, w, func(f io.Writer) error {
+			_, err := io.WriteString(f, gateMarkdown(&rep))
+			return err
+		}); err != nil {
 			return err
 		}
 	}
@@ -410,14 +352,14 @@ func gateFailure(rep *gateReport, failures int) error {
 			parts = append(parts, fmt.Sprintf("%s: %s %+.4g", e.Scenario, m.Name, m.Delta))
 		}
 	}
-	return &errRegression{msg: fmt.Sprintf("%d scenario(s) regressed — %s", failures, strings.Join(parts, "; "))}
+	return verdictf("%d scenario(s) regressed — %s", failures, strings.Join(parts, "; "))
 }
 
 // gateMarkdown renders the improved/regressed/neutral table CI posts to
 // the job summary.
 func gateMarkdown(rep *gateReport) string {
 	var b strings.Builder
-	b.WriteString("### lfmdiff gate\n\n")
+	b.WriteString("### lfm diff gate\n\n")
 	if rep.Perturb != "" {
 		fmt.Fprintf(&b, "perturbation: `%s` (self-test)\n\n", rep.Perturb)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,14 +76,14 @@ func TestGateRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer
 	args := []string{"-baselines", dir, "-scenarios", gateScenario, "-refresh"}
-	if err := cmdGate(&out, args); err != nil {
+	if err := cmdGate(args, &out, io.Discard); err != nil {
 		t.Fatalf("gate -refresh: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, gateScenario+".lfma")); err != nil {
 		t.Fatalf("baseline not written: %v", err)
 	}
 	out.Reset()
-	if err := cmdGate(&out, []string{"-baselines", dir, "-scenarios", gateScenario}); err != nil {
+	if err := cmdGate([]string{"-baselines", dir, "-scenarios", gateScenario}, &out, io.Discard); err != nil {
 		t.Fatalf("gate on unchanged tree failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "ok") || strings.Contains(out.String(), "REGRESSED") {
@@ -91,7 +92,7 @@ func TestGateRoundTrip(t *testing.T) {
 }
 
 // TestGatePerturbFails is the gate's self-test: a seeded perturbation must
-// trip the gate, exiting via *errRegression with the failure naming the
+// trip the gate, exiting via verdictError with the failure naming the
 // regressed metric and its delta.
 func TestGatePerturbFails(t *testing.T) {
 	dir := t.TempDir()
@@ -99,13 +100,13 @@ func TestGatePerturbFails(t *testing.T) {
 	var out bytes.Buffer
 	mdPath := filepath.Join(dir, "gate.md")
 	jsonPath := filepath.Join(dir, "gate.json")
-	err := cmdGate(&out, []string{
+	err := cmdGate([]string{
 		"-baselines", dir, "-scenarios", gateScenario,
 		"-perturb", "workers-halved", "-md", mdPath, "-json", jsonPath,
-	})
-	var reg *errRegression
+	}, &out, io.Discard)
+	var reg verdictError
 	if !errors.As(err, &reg) {
-		t.Fatalf("perturbed gate returned %v, want *errRegression", err)
+		t.Fatalf("perturbed gate returned %v, want verdictError", err)
 	}
 	if !strings.Contains(err.Error(), "makespan_s") || !strings.Contains(err.Error(), "+") {
 		t.Fatalf("failure does not name the metric and delta: %v", err)
@@ -126,7 +127,7 @@ func TestGatePerturbFails(t *testing.T) {
 // poison every future gate run, so the flag combination is rejected.
 func TestGateRefusesPerturbedRefresh(t *testing.T) {
 	var out bytes.Buffer
-	err := cmdGate(&out, []string{"-baselines", t.TempDir(), "-perturb", "workers-halved", "-refresh"})
+	err := cmdGate([]string{"-baselines", t.TempDir(), "-perturb", "workers-halved", "-refresh"}, &out, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "perturb") {
 		t.Fatalf("gate -perturb -refresh = %v, want refusal", err)
 	}
@@ -140,7 +141,7 @@ func TestCompareRegression(t *testing.T) {
 	basePath, _ := writeBaseArchive(t, dir)
 
 	var out bytes.Buffer
-	if err := cmdCompare(&out, []string{basePath, basePath}); err != nil {
+	if err := cmdCompare([]string{basePath, basePath}, &out, io.Discard); err != nil {
 		t.Fatalf("self-compare: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "0 improved, 0 regressed") {
@@ -157,10 +158,10 @@ func TestCompareRegression(t *testing.T) {
 	}
 	candPath, _ := writeScenarioArchive(t, candDir, gateScenario, perturb)
 	out.Reset()
-	err = cmdCompare(&out, []string{basePath, candPath})
-	var reg *errRegression
+	err = cmdCompare([]string{basePath, candPath}, &out, io.Discard)
+	var reg verdictError
 	if !errors.As(err, &reg) {
-		t.Fatalf("perturbed compare returned %v, want *errRegression\n%s", err, out.String())
+		t.Fatalf("perturbed compare returned %v, want verdictError\n%s", err, out.String())
 	}
 	if !strings.Contains(err.Error(), "makespan_s") {
 		t.Fatalf("compare failure does not name the metric: %v", err)
@@ -195,9 +196,9 @@ func TestExplainPinpointsDivergence(t *testing.T) {
 	cand.Header.Digest = "sha256:tampered"
 	out.Reset()
 	err := explain(&out, base, cand)
-	var reg *errRegression
+	var reg verdictError
 	if !errors.As(err, &reg) {
-		t.Fatalf("tampered twins returned %v, want *errRegression", err)
+		t.Fatalf("tampered twins returned %v, want verdictError", err)
 	}
 	d := lfm.BisectEventStreams(base.Events, cand.Events)
 	if d == nil || d.Index != idx {

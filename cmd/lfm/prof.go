@@ -1,100 +1,87 @@
-// Command lfmprof renders a telemetry export (as written by
-// lfmbench -telemetry-out or RunTelemetry.WriteJSONL) as human-readable
-// profiles: per-category resource usage distributions with allocation-label
-// audit, per-node allocated-versus-used utilization timelines, detected
-// anomalies, and — when the export holds several runs — a comparative
-// waste table across strategies.
-//
-// Usage:
-//
-//	lfmprof [-csv FILE] [-width N] [-allow-invalid] TELEMETRY.jsonl
-//
-// The file may be "-" for stdin. -csv additionally dumps every attempt's
-// usage series as flat CSV for spreadsheet or notebook analysis.
-//
-// Exit status: 0 ok, 1 operational error (unreadable or corrupt export),
-// 2 usage, 3 telemetry invariant breach (series over cap, non-monotone
-// deltas, lost peaks). -allow-invalid still renders a breached export but
-// suppresses the nonzero exit.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"strings"
 	"text/tabwriter"
 
 	"lfm"
 )
 
-func main() {
-	csvOut := flag.String("csv", "", "also write every attempt series as CSV to this file (- for stdout)")
-	width := flag.Int("width", 60, "character width of the node utilization bars")
-	allowInvalid := flag.Bool("allow-invalid", false, "exit 0 even when a run breaches the telemetry invariants")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: lfmprof [-csv FILE] [-width N] [-allow-invalid] TELEMETRY.jsonl")
-		flag.PrintDefaults()
+// cmdProf renders a telemetry export (as written by `lfm bench
+// -telemetry-out` or RunTelemetry.WriteJSONL) as human-readable profiles:
+// per-category resource usage distributions with allocation-label audit,
+// per-node allocated-versus-used utilization timelines, detected anomalies,
+// and — when the export holds several runs — a comparative waste table
+// across strategies. -csv additionally dumps every attempt's usage series
+// as flat CSV for spreadsheet or notebook analysis.
+//
+// A telemetry invariant breach (series over cap, non-monotone deltas, lost
+// peaks) is a verdict, exit 3; -allow-invalid still renders a breached
+// export but suppresses the nonzero exit.
+func cmdProf(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("lfm prof", stderr)
+	csvOut := fs.String("csv", "", "also write every attempt series as CSV to this file (- for stdout)")
+	width := fs.Int("width", 60, "character width of the node utilization bars")
+	allowInvalid := fs.Bool("allow-invalid", false, "exit 0 even when a run breaches the telemetry invariants")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: lfm prof [-csv FILE] [-width N] [-allow-invalid] TELEMETRY.jsonl")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return errUsage
 	}
 
-	in := os.Stdin
-	if path := flag.Arg(0); path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		in = f
+	in, err := openInput(fs.Arg(0))
+	if err != nil {
+		return err
 	}
+	defer in.Close()
 	runs, err := lfm.ReadTelemetry(in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(runs) == 0 {
-		fatal(fmt.Errorf("no telemetry runs in %s", flag.Arg(0)))
+		return fmt.Errorf("no telemetry runs in %s", fs.Arg(0))
 	}
 
 	for i, rt := range runs {
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		render(os.Stdout, rt, *width)
+		renderTelemetry(stdout, rt, *width)
 	}
 	if len(runs) > 1 {
-		fmt.Println()
-		compare(os.Stdout, runs)
+		fmt.Fprintln(stdout)
+		compareRuns(stdout, runs)
 	}
 
 	if *csvOut != "" {
-		w := io.Writer(os.Stdout)
-		if *csvOut != "-" {
-			f, err := os.Create(*csvOut)
-			if err != nil {
-				fatal(err)
+		if err := writeTo(*csvOut, stdout, func(w io.Writer) error {
+			for _, rt := range runs {
+				if err := rt.WriteSeriesCSV(w); err != nil {
+					return err
+				}
 			}
-			defer f.Close()
-			w = f
-		}
-		for _, rt := range runs {
-			if err := rt.WriteSeriesCSV(w); err != nil {
-				fatal(err)
-			}
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
 
 	if err := checkRuns(runs); err != nil {
-		fmt.Fprintf(os.Stderr, "lfmprof: %v; pass -allow-invalid to suppress\n", err)
 		if !*allowInvalid {
-			os.Exit(3)
+			return verdictf("%v; pass -allow-invalid to suppress", err)
 		}
+		fmt.Fprintf(stderr, "lfm prof: %v; pass -allow-invalid to suppress\n", err)
 	}
+	return nil
 }
 
 // checkRuns verifies every run's telemetry invariants (bounded monotone
@@ -109,14 +96,9 @@ func checkRuns(runs []*lfm.RunTelemetry) error {
 	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "lfmprof: %v\n", err)
-	os.Exit(1)
-}
-
-// render prints one run: header, category profiles, utilization summary,
+// renderTelemetry prints one run: header, category profiles, utilization summary,
 // node timelines, anomalies.
-func render(w io.Writer, rt *lfm.RunTelemetry, width int) {
+func renderTelemetry(w io.Writer, rt *lfm.RunTelemetry, width int) {
 	m := rt.Meta
 	fmt.Fprintf(w, "=== %s / %s: %d workers, seed %d, makespan %.0fs ===\n",
 		orDash(m.Workload), orDash(m.Strategy), m.Workers, m.Seed, float64(m.Makespan))
@@ -249,8 +231,8 @@ func ramp(levels []float64, cap float64, chars string) string {
 	return b.String()
 }
 
-// compare prints the cross-run waste table for multi-run exports.
-func compare(w io.Writer, runs []*lfm.RunTelemetry) {
+// compareRuns prints the cross-run waste table for multi-run exports.
+func compareRuns(w io.Writer, runs []*lfm.RunTelemetry) {
 	fmt.Fprintln(w, "=== strategy comparison ===")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "workload\tstrategy\tmakespan(s)\talloc-core-s\tused-core-s\twaste\tpacking\tanomalies")
@@ -262,11 +244,4 @@ func compare(w io.Writer, runs []*lfm.RunTelemetry) {
 			100*u.WasteFraction, 100*u.PackingEfficiency, len(rt.Anomalies))
 	}
 	tw.Flush()
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"strings"
 	"testing"
@@ -10,13 +9,12 @@ import (
 	"lfm"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files from current output")
-
-// TestRenderGolden locks lfmprof's report rendering against a canned
-// telemetry fixture: the simulation is deterministic, so the rendered text
-// must be byte-stable. Regenerate with `go test ./cmd/lfmprof -update`
-// after an intentional format change.
-func TestRenderGolden(t *testing.T) {
+// TestProfRenderGolden locks `lfm prof`'s report rendering against a
+// canned telemetry fixture: the simulation is deterministic, so the
+// rendered text must be byte-stable. Regenerate with
+// `go test ./cmd/lfm -run Golden -update` after an intentional format
+// change.
+func TestProfRenderGolden(t *testing.T) {
 	f, err := os.Open("testdata/telemetry.jsonl")
 	if err != nil {
 		t.Fatal(err)
@@ -30,9 +28,9 @@ func TestRenderGolden(t *testing.T) {
 		t.Fatalf("fixture holds %d runs, want 1", len(runs))
 	}
 	var buf bytes.Buffer
-	render(&buf, runs[0], 60)
+	renderTelemetry(&buf, runs[0], 60)
 
-	const golden = "testdata/render.golden"
+	const golden = "testdata/prof.golden"
 	if *update {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -48,7 +46,7 @@ func TestRenderGolden(t *testing.T) {
 }
 
 // TestCheckRunsFixture verifies the committed fixture satisfies the
-// telemetry invariants (so lfmprof exits 0 on it), and that a tampered
+// telemetry invariants (so `lfm prof` exits 0 on it), and that a tampered
 // export — a raw-measurement count the series no longer accounts for —
 // trips checkRuns, which is what drives the exit-3 path.
 func TestCheckRunsFixture(t *testing.T) {

@@ -1,108 +1,77 @@
-// Command lfmreport renders an observability stream (as written by
-// lfmbench -obs-out or ObsConfig.Stream) as a run health report: the
-// verdict and rule findings with their evidence windows, the queue-depth
-// and utilization timelines as sparklines, and the run's scheduling and
-// end-to-end latency quantiles per category.
-//
-// Usage:
-//
-//	lfmreport [-json FILE] [-width N] [-allow-unhealthy] OBS.jsonl
-//
-// The file may be "-" for stdin. When the stream carries no trailing
-// health line (a truncated or live capture), the health rules are re-run
-// over the streamed snapshots. -json additionally re-exports the health
-// report as JSON for machine consumption.
-//
-// Exit status: 0 healthy, 1 operational error (unreadable or corrupt
-// stream), 2 usage, 3 unhealthy verdict. -allow-unhealthy renders an
-// unhealthy run without the nonzero exit, for exploratory use on runs that
-// are expected to be degraded.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
-	"os"
 	"text/tabwriter"
 
 	"lfm"
 )
 
-func main() {
-	jsonOut := flag.String("json", "", "also write the health report as JSON to this file (- for stdout)")
-	width := flag.Int("width", 60, "character width of the timeline sparklines")
-	allowUnhealthy := flag.Bool("allow-unhealthy", false, "exit 0 even when the verdict is unhealthy")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: lfmreport [-json FILE] [-width N] [-allow-unhealthy] OBS.jsonl")
-		flag.PrintDefaults()
+// cmdReport renders an observability stream (as written by `lfm bench
+// -obs-out` or ObsConfig.Stream) as a run health report: the verdict and
+// rule findings with their evidence windows, the queue-depth and
+// utilization timelines as sparklines, and the run's scheduling and
+// end-to-end latency quantiles per category.
+//
+// When the stream carries no trailing health line (a truncated or live
+// capture), the health rules are re-run over the streamed snapshots. -json
+// additionally re-exports the health report as JSON for machine
+// consumption. An unhealthy verdict exits 3; -allow-unhealthy renders an
+// unhealthy run without the nonzero exit, for exploratory use on runs that
+// are expected to be degraded.
+func cmdReport(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("lfm report", stderr)
+	jsonOut := fs.String("json", "", "also write the health report as JSON to this file (- for stdout)")
+	width := fs.Int("width", 60, "character width of the timeline sparklines")
+	allowUnhealthy := fs.Bool("allow-unhealthy", false, "exit 0 even when the verdict is unhealthy")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: lfm report [-json FILE] [-width N] [-allow-unhealthy] OBS.jsonl")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return errUsage
 	}
 
-	in := os.Stdin
-	if path := flag.Arg(0); path != "-" {
-		f, err := os.Open(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		in = f
+	in, err := openInput(fs.Arg(0))
+	if err != nil {
+		return err
 	}
+	defer in.Close()
 	st, err := lfm.ReadObsStream(in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	health := st.Health
 	if health == nil {
 		health = lfm.AnalyzeObs(st.RunObs(), nil)
 	}
-	render(os.Stdout, st, health, *width)
+	renderHealth(stdout, st, health, *width)
 
 	if *jsonOut != "" {
-		w := io.Writer(os.Stdout)
-		if *jsonOut != "-" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			w = f
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(health); err != nil {
-			fatal(err)
+		if err := writeJSON(*jsonOut, stdout, health); err != nil {
+			return err
 		}
 	}
-
-	if code := verdictExit(health, *allowUnhealthy); code != 0 {
-		fmt.Fprintf(os.Stderr, "lfmreport: run is unhealthy (worst: %s); pass -allow-unhealthy to suppress\n", health.Worst())
-		os.Exit(code)
-	}
+	return healthVerdict(health, *allowUnhealthy)
 }
 
-// verdictExit maps the health verdict to the process exit code: 3 for an
-// unhealthy run unless -allow-unhealthy downgrades it, 0 otherwise.
-func verdictExit(health *lfm.RunHealth, allowUnhealthy bool) int {
+// healthVerdict is the verdict error for an unhealthy run, unless
+// -allow-unhealthy downgrades it.
+func healthVerdict(health *lfm.RunHealth, allowUnhealthy bool) error {
 	if health != nil && !health.Healthy && !allowUnhealthy {
-		return 3
+		return verdictf("run is unhealthy (worst: %s); pass -allow-unhealthy to suppress", health.Worst())
 	}
-	return 0
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "lfmreport: %v\n", err)
-	os.Exit(1)
-}
-
-// render prints the report: header, verdict and findings, timelines,
+// renderHealth prints the report: header, verdict and findings, timelines,
 // latency tables, and run counters.
-func render(w io.Writer, st *lfm.ObsStream, health *lfm.RunHealth, width int) {
+func renderHealth(w io.Writer, st *lfm.ObsStream, health *lfm.RunHealth, width int) {
 	m := st.Meta
 	fin := st.Final
 	if fin == nil && len(st.Snapshots) > 0 {
@@ -204,11 +173,4 @@ func bucketMax(vals []float64, width int) []float64 {
 		}
 	}
 	return out
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "-"
-	}
-	return s
 }

@@ -2,15 +2,12 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
 	"strings"
 	"testing"
 
 	"lfm"
 )
-
-var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
 func readFixture(t *testing.T) *lfm.ObsStream {
 	t.Helper()
@@ -26,20 +23,20 @@ func readFixture(t *testing.T) *lfm.ObsStream {
 	return st
 }
 
-// TestRenderGolden locks lfmreport's health report rendering against a
-// canned obs stream captured from a deterministic churn-chaos run.
-// Regenerate with `go test ./cmd/lfmreport -update` after an intentional
-// format change.
-func TestRenderGolden(t *testing.T) {
+// TestReportRenderGolden locks `lfm report`'s health report rendering
+// against a canned obs stream captured from a deterministic churn-chaos
+// run. Regenerate with `go test ./cmd/lfm -run Golden -update` after an
+// intentional format change.
+func TestReportRenderGolden(t *testing.T) {
 	st := readFixture(t)
 	health := st.Health
 	if health == nil {
 		health = lfm.AnalyzeObs(st.RunObs(), nil)
 	}
 	var buf bytes.Buffer
-	render(&buf, st, health, 60)
+	renderHealth(&buf, st, health, 60)
 
-	const golden = "testdata/render.golden"
+	const golden = "testdata/report.golden"
 	if *update {
 		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -62,7 +59,7 @@ func TestRenderWithoutHealthLine(t *testing.T) {
 	st.Health = nil
 	health := lfm.AnalyzeObs(st.RunObs(), nil)
 	var buf bytes.Buffer
-	render(&buf, st, health, 60)
+	renderHealth(&buf, st, health, 60)
 	out := buf.String()
 	if !strings.Contains(out, "verdict:") || !strings.Contains(out, "snapshots") {
 		t.Fatalf("re-derived report missing verdict:\n%s", out)
@@ -88,14 +85,14 @@ func TestVerdictExit(t *testing.T) {
 		{"nil health", nil, false, 0},
 	}
 	for _, c := range cases {
-		if got := verdictExit(c.health, c.allow); got != c.want {
-			t.Errorf("%s: verdictExit = %d, want %d", c.name, got, c.want)
+		if got := exitStatus(healthVerdict(c.health, c.allow)); got != c.want {
+			t.Errorf("%s: exit status = %d, want %d", c.name, got, c.want)
 		}
 	}
 }
 
 // TestFixtureVerdictExit ties the exit code to the real fixture: the canned
-// churn-chaos stream carries its health verdict, and verdictExit must agree
+// churn-chaos stream carries its health verdict, and the exit status must agree
 // with it rather than with some stale assumption about the fixture.
 func TestFixtureVerdictExit(t *testing.T) {
 	st := readFixture(t)
@@ -107,10 +104,10 @@ func TestFixtureVerdictExit(t *testing.T) {
 	if !health.Healthy {
 		want = 3
 	}
-	if got := verdictExit(health, false); got != want {
-		t.Errorf("fixture verdict healthy=%v but verdictExit = %d, want %d", health.Healthy, got, want)
+	if got := exitStatus(healthVerdict(health, false)); got != want {
+		t.Errorf("fixture verdict healthy=%v but exit status = %d, want %d", health.Healthy, got, want)
 	}
-	if got := verdictExit(health, true); got != 0 {
+	if got := exitStatus(healthVerdict(health, true)); got != 0 {
 		t.Errorf("-allow-unhealthy must exit 0, got %d", got)
 	}
 }

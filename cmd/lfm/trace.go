@@ -1,91 +1,75 @@
-// Command lfmtrace answers "why was my workflow slow?" from a saved span
-// trace (lfmbench -trace-out run.trace.json, or TraceStore.WriteJSON from
-// library code).
-//
-// Usage:
-//
-//	lfmtrace [-top N] [-perfetto FILE] TRACE
-//
-// It prints the run's critical path (the contiguous chain of task phases
-// that determined the makespan) with a per-phase time breakdown, bottleneck
-// tables by task category and by worker, and the top-N slowest spans.
-// -perfetto additionally re-exports the trace as Chrome trace-event JSON for
-// https://ui.perfetto.dev.
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
+	"io"
 	"text/tabwriter"
 
 	"lfm"
 )
 
-func main() {
-	top := flag.Int("top", 10, "number of slowest spans to list")
-	perfetto := flag.String("perfetto", "", "also write the trace as Chrome trace-event JSON to this file")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: lfmtrace [-top N] [-perfetto FILE] TRACE\n")
-		flag.PrintDefaults()
+// cmdTrace answers "why was my workflow slow?" from a saved span trace
+// (`lfm bench -trace-out run.trace.json`, or TraceStore.WriteJSON from
+// library code). It prints the run's critical path (the contiguous chain
+// of task phases that determined the makespan) with a per-phase time
+// breakdown, bottleneck tables by task category and by worker, and the
+// top-N slowest spans. -perfetto additionally re-exports the trace as
+// Chrome trace-event JSON for https://ui.perfetto.dev.
+func cmdTrace(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("lfm trace", stderr)
+	top := fs.Int("top", 10, "number of slowest spans to list")
+	perfetto := fs.String("perfetto", "", "also write the trace as Chrome trace-event JSON to this file")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: lfm trace [-top N] [-perfetto FILE] TRACE\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return errUsage
 	}
 
-	f, err := os.Open(flag.Arg(0))
+	in, err := openInput(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	st, err := lfm.ReadTrace(f)
-	f.Close()
+	defer in.Close()
+	st, err := lfm.ReadTrace(in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	report(st, *top)
+	traceReport(stdout, st, *top)
 
 	if *perfetto != "" {
-		out, err := os.Create(*perfetto)
-		if err != nil {
-			fatal(err)
+		if err := writeTo(*perfetto, stdout, st.WritePerfetto); err != nil {
+			return err
 		}
-		if err := st.WritePerfetto(out); err != nil {
-			out.Close()
-			fatal(err)
-		}
-		if err := out.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nperfetto export written to %s (open at https://ui.perfetto.dev)\n", *perfetto)
+		fmt.Fprintf(stdout, "\nperfetto export written to %s (open at https://ui.perfetto.dev)\n", *perfetto)
 	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "lfmtrace: %v\n", err)
-	os.Exit(1)
-}
-
-func report(st *lfm.TraceStore, top int) {
-	fmt.Printf("trace: %d spans, end of run at %.3fs\n", st.Len(), float64(st.EndTime()))
+func traceReport(out io.Writer, st *lfm.TraceStore, top int) {
+	fmt.Fprintf(out, "trace: %d spans, end of run at %.3fs\n", st.Len(), float64(st.EndTime()))
 
 	cp := st.CriticalPath()
 	if cp == nil {
-		fmt.Println("no task spans recorded; nothing to analyze")
+		fmt.Fprintln(out, "no task spans recorded; nothing to analyze")
 		return
 	}
-	fmt.Printf("\ncritical path: %.3fs, [%.3fs, %.3fs], %d steps across %d tasks\n",
+	fmt.Fprintf(out, "\ncritical path: %.3fs, [%.3fs, %.3fs], %d steps across %d tasks\n",
 		float64(cp.Total()), float64(cp.Start), float64(cp.End), len(cp.Steps), pathTasks(cp))
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  phase\ttime\tshare")
 	for _, p := range cp.Phases {
 		fmt.Fprintf(w, "  %s\t%.3fs\t%.1f%%\n", p.Kind, float64(p.Duration), 100*p.Fraction)
 	}
 	w.Flush()
-	fmt.Println("\npath steps:")
-	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(out, "\npath steps:")
+	w = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  task\tcategory\tphase\tstart\tduration\tworker")
 	for _, sp := range cp.Steps {
 		worker := "-"
@@ -97,14 +81,14 @@ func report(st *lfm.TraceStore, top int) {
 	}
 	w.Flush()
 
-	buckets(st, false, "bottlenecks by category:")
-	buckets(st, true, "bottlenecks by worker:")
-	chaosSection(st, cp)
+	buckets(out, st, false, "bottlenecks by category:")
+	buckets(out, st, true, "bottlenecks by worker:")
+	chaosSection(out, st, cp)
 
 	slow := st.Slowest(top)
 	if len(slow) > 0 {
-		fmt.Printf("\ntop %d slowest spans:\n", len(slow))
-		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		fmt.Fprintf(out, "\ntop %d slowest spans:\n", len(slow))
+		w = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(w, "  kind\ttask\tcategory\tstart\tduration\toutcome\tdetail")
 		end := st.EndTime()
 		for _, sp := range slow {
@@ -118,7 +102,7 @@ func report(st *lfm.TraceStore, top int) {
 // chaosSection lists injected faults and failure-detection events, flagging
 // those whose window overlaps the critical path — the faults that plausibly
 // cost makespan.
-func chaosSection(st *lfm.TraceStore, cp *lfm.TraceCriticalPath) {
+func chaosSection(out io.Writer, st *lfm.TraceStore, cp *lfm.TraceCriticalPath) {
 	var evs []lfm.TraceSpan
 	for _, sp := range st.Spans() {
 		switch sp.Kind {
@@ -131,8 +115,8 @@ func chaosSection(st *lfm.TraceStore, cp *lfm.TraceCriticalPath) {
 		return
 	}
 	end := st.EndTime()
-	fmt.Printf("\nfailure events (%d):\n", len(evs))
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(out, "\nfailure events (%d):\n", len(evs))
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  kind\tstart\tduration\tworker\tdetail\ton critical path")
 	onPath := 0
 	for _, sp := range evs {
@@ -153,7 +137,7 @@ func chaosSection(st *lfm.TraceStore, cp *lfm.TraceCriticalPath) {
 			sp.Kind, float64(sp.Start), float64(d), worker, sp.Detail, mark)
 	}
 	w.Flush()
-	fmt.Printf("  %d of %d overlap the critical path window\n", onPath, len(evs))
+	fmt.Fprintf(out, "  %d of %d overlap the critical path window\n", onPath, len(evs))
 }
 
 // pathTasks counts distinct tasks on the critical path.
@@ -165,13 +149,13 @@ func pathTasks(cp *lfm.TraceCriticalPath) int {
 	return len(seen)
 }
 
-func buckets(st *lfm.TraceStore, byWorker bool, title string) {
+func buckets(out io.Writer, st *lfm.TraceStore, byWorker bool, title string) {
 	bs := st.Bottlenecks(byWorker)
 	if len(bs) == 0 {
 		return
 	}
-	fmt.Printf("\n%s\n", title)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(out, "\n%s\n", title)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "  group\ttotal\tdep-wait\tqueue\tstage\texec\toutput\twaste\tattempts\twasted")
 	for _, b := range bs {
 		fmt.Fprintf(w, "  %s\t%.1fs\t%.1fs\t%.1fs\t%.1fs\t%.1fs\t%.1fs\t%.1fs\t%d\t%d\n",

@@ -100,6 +100,6 @@ func main() {
 		"task execution", exec.Quantile(0.5), exec.Quantile(0.9), exec.Max())
 
 	fmt.Println("\nfor a per-task timeline of the same run, export a span trace with" +
-		"\n`lfmbench -trace-out t.json -trace-format perfetto` and open it at" +
-		"\nhttps://ui.perfetto.dev (or analyze t.json with cmd/lfmtrace)")
+		"\n`lfm bench -trace-out t.json -trace-format perfetto` and open it at" +
+		"\nhttps://ui.perfetto.dev (or analyze t.json with lfm trace)")
 }

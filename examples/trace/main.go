@@ -98,6 +98,6 @@ func main() {
 		fmt.Printf("\ncritical path: %.0fs across %d steps; dominant phase: %s (%.0f%%)\n",
 			float64(cp.Total()), len(cp.Steps), cp.Phases[0].Kind, 100*cp.Phases[0].Fraction)
 	}
-	fmt.Println("for the interactive view, export with `lfmbench -trace-out t.json " +
+	fmt.Println("for the interactive view, export with `lfm bench -trace-out t.json " +
 		"-trace-format perfetto` and open it at https://ui.perfetto.dev")
 }

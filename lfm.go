@@ -189,7 +189,7 @@ func RunMonitored(ctx context.Context, cmd *exec.Cmd, limits ProcessLimits, poll
 type ProcessSample = procmon.Sample
 
 // RunMonitoredObserved is RunMonitored with a live observer: onSample
-// receives every poll as it is taken (lfmrun's -top view renders from it).
+// receives every poll as it is taken (lfm run's -top view renders from it).
 // A nil onSample is equivalent to RunMonitored.
 func RunMonitoredObserved(ctx context.Context, cmd *exec.Cmd, limits ProcessLimits, poll time.Duration, onSample func(ProcessSample)) (*ProcessReport, error) {
 	m := &procmon.Monitor{PollInterval: poll, Callback: onSample}
@@ -527,7 +527,7 @@ type RunObs = obs.RunObs
 type ObsLatencyQuantiles = obs.LatencyQuantiles
 
 // RunHealth is the rule-driven end-of-run health report; see
-// Outcome.Health and cmd/lfmreport.
+// Outcome.Health and lfm report.
 type RunHealth = obs.Health
 
 // HealthFinding is one health-rule hit with its evidence window.
@@ -623,7 +623,7 @@ type TraceArrivals = workloads.TraceReplay
 // Scenario is one canned, seeded, self-describing regression scenario: a
 // workload generator composed with a chaos profile, resilience config, and
 // serving settings, plus its own invariants and headline metrics. The
-// cmd/lfmscenario CLI drives the registry; `make scenarios` runs the suite
+// lfm scenario CLI drives the registry; `make scenarios` runs the suite
 // as a regression gate.
 type Scenario = scenario.Scenario
 
@@ -753,7 +753,7 @@ func (e *UnknownExperimentError) Error() string {
 	return "lfm: unknown experiment " + e.ID + " (see ExperimentIDs)"
 }
 
-// ---- Differential observability (run archives + lfmdiff) ----
+// ---- Differential observability (run archives + lfm diff) ----
 
 // RunArchive is the versioned, self-contained run artifact the diff layer
 // compares: header (config, seed, digest), unified summary, obs snapshot
