@@ -6,7 +6,7 @@ GO ?= go
 GOFMT ?= gofmt
 LFM := .bin/lfm
 
-.PHONY: check fmt build vet test test-race examples chaos bench profile obs serve scenarios diff lfm
+.PHONY: check fmt build vet test test-race fuzz examples chaos bench profile obs serve scenarios diff lfm
 
 check: fmt build vet test-race
 
@@ -33,6 +33,25 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Decoder fuzzing: run each artifact decoder's native fuzz target (run
+# archive, scenario trace, obs stream, telemetry export) for a fixed short
+# budget. Plain `go test` already replays the seeds and any committed
+# crashers; this target searches for new ones. A crasher is written under
+# the package's testdata/fuzz/<target>/ and fails the target: commit it
+# with its fix so every later `go test` replays it. New-coverage inputs are
+# minimized for at most 2s, so the budget goes to fuzzing.
+FUZZTIME := 20s
+FUZZ_TARGETS := FuzzRead:./internal/runarchive FuzzDecodeTrace:./internal/scenario \
+	FuzzReadStream:./internal/obs FuzzReadJSONL:./internal/tseries
+
+fuzz:
+	@for t in $(FUZZ_TARGETS); do \
+		name=$${t%%:*}; pkg=$${t#*:}; \
+		echo "== $$name $$pkg"; \
+		$(GO) test -run "^$$name\$$" -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) \
+			-fuzzminimizetime 2s $$pkg || exit 1; \
+	done
 
 # Run every example program end to end: `go build` cannot catch their
 # runtime failure paths (a log.Fatal on an empty timeline or a failed run).

@@ -41,6 +41,30 @@ func writeBrokenTelemetry(t *testing.T) string {
 	return path
 }
 
+// writeArchiveWithoutFinal writes the heavy-tail baseline archive with its
+// final snapshot line deleted: an obs section the diff engine cannot align.
+func writeArchiveWithoutFinal(t *testing.T) string {
+	t.Helper()
+	data, err := os.ReadFile("../../baselines/heavy-tail.lfma")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, l := range strings.SplitAfter(string(data), "\n") {
+		if !strings.HasPrefix(l, `{"kind":"final"`) {
+			kept = append(kept, l)
+		}
+	}
+	if len(kept) != strings.Count(string(data), "\n") {
+		t.Fatal("baseline has no single final line to delete")
+	}
+	path := filepath.Join(t.TempDir(), "no-final.lfma")
+	if err := os.WriteFile(path, []byte(strings.Join(kept, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 // TestExitStatus drives whole command lines through run, the function
 // main exits with, and checks the exit-status contract: 0 success, 1
 // operational error, 2 usage, 3 verdict, and `lfm run` passing the
@@ -52,6 +76,7 @@ func TestExitStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	broken := writeBrokenTelemetry(t)
+	noFinal := writeArchiveWithoutFinal(t)
 	missing := filepath.Join(dir, "missing")
 	tarball := filepath.Join(dir, "env.tar.gz")
 
@@ -85,6 +110,7 @@ func TestExitStatus(t *testing.T) {
 
 		{"trace missing input", []string{"trace", missing}, 1, "", "lfm trace: open"},
 		{"diff compare missing input", []string{"diff", "compare", missing, missing}, 1, "", "lfm diff: open"},
+		{"diff compare archive without final", []string{"diff", "compare", noFinal, "../../baselines/heavy-tail.lfma"}, 1, "", "archive: corrupt: obs section without a final line"},
 		{"scenario replay missing input", []string{"scenario", "replay", missing}, 1, "", "lfm scenario: open"},
 		{"scenario describe", []string{"scenario", "describe", "stragglers"}, 0, "invariants:", ""},
 

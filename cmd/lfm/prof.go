@@ -47,9 +47,6 @@ func cmdProf(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if len(runs) == 0 {
-		return fmt.Errorf("no telemetry runs in %s", fs.Arg(0))
-	}
 
 	for i, rt := range runs {
 		if i > 0 {

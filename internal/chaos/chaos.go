@@ -87,26 +87,27 @@ type Schedule struct {
 	ChurnReplace bool `json:",omitempty"`
 }
 
-// Validate rejects schedules the engine cannot honour.
+// Validate rejects schedules the engine cannot honour, naming the fault
+// and the offending field as it is spelled in a trace or archive header.
 func (s *Schedule) Validate() error {
 	for i, f := range s.Faults {
 		switch f.Kind {
 		case WorkerCrash, WorkerSlow, FSSlow, FSOutage, StagingFailure, ProvisionReject, ZombieKill, TenantStampede:
 		default:
-			return fmt.Errorf("chaos: fault %d has unknown kind %q", i, f.Kind)
+			return fmt.Errorf("chaos: fault %d has unknown Kind %q", i, f.Kind)
 		}
 		if f.At < 0 {
-			return fmt.Errorf("chaos: fault %d (%s) scheduled at negative time", i, f.Kind)
+			return fmt.Errorf("chaos: fault %d (%s) has negative At %g", i, f.Kind, float64(f.At))
 		}
 		if f.Duration < 0 {
-			return fmt.Errorf("chaos: fault %d (%s) has negative duration", i, f.Kind)
+			return fmt.Errorf("chaos: fault %d (%s) has negative Duration %g", i, f.Kind, float64(f.Duration))
 		}
 		if f.Prob < 0 || f.Prob > 1 {
-			return fmt.Errorf("chaos: fault %d (%s) has probability %g outside [0,1]", i, f.Kind, f.Prob)
+			return fmt.Errorf("chaos: fault %d (%s) has Prob %g outside [0,1]", i, f.Kind, f.Prob)
 		}
 	}
 	if s.ChurnMTBF < 0 {
-		return fmt.Errorf("chaos: negative churn MTBF")
+		return fmt.Errorf("chaos: negative ChurnMTBF %g", float64(s.ChurnMTBF))
 	}
 	return nil
 }

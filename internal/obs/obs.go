@@ -27,12 +27,11 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 
+	"lfm/internal/artifact"
 	"lfm/internal/metrics"
 	"lfm/internal/sim"
 )
@@ -156,9 +155,7 @@ type Bus struct {
 	stride int      // ring retention stride (doubles on decimation)
 	ring   []*Snapshot
 
-	bw   *bufio.Writer
-	enc  *json.Encoder
-	werr error
+	out *artifact.Writer // the JSONL stream; nil without Config.Stream
 
 	// Counts no other layer keeps: fault injections with their recent
 	// ticker, and telemetry anomalies.
@@ -204,12 +201,11 @@ func NewBus(eng *sim.Engine, cfg *Config) (*Bus, error) {
 		cats:   map[string]*catAgg{},
 	}
 	if c.Stream != nil {
-		b.bw = bufio.NewWriter(c.Stream)
-		b.enc = json.NewEncoder(b.bw)
-		b.put(streamLine{Type: "meta", Meta: &metaLine{
+		b.out = streamFormat.NewWriter(c.Stream)
+		b.out.Put("meta", &metaLine{
 			SchemaVersion: StreamVersion,
 			StreamMeta:    c.Meta, Cadence: c.Cadence, RingCap: c.RingCap,
-		}})
+		})
 	}
 	eng.OnAdvance(b.advance)
 	return b, nil
@@ -252,12 +248,12 @@ func (b *Bus) seal(at sim.Time) {
 	tick := b.tick
 	b.tick++
 	retain := tick%b.stride == 0
-	if b.enc == nil && b.cfg.OnSnapshot == nil && !retain {
+	if b.out == nil && b.cfg.OnSnapshot == nil && !retain {
 		return
 	}
 	s := b.build(at, tick)
-	if b.enc != nil {
-		b.put(streamLine{Type: "snapshot", Snapshot: s})
+	if b.out != nil {
+		b.out.Put("snapshot", s)
 	}
 	if b.cfg.OnSnapshot != nil {
 		b.cfg.OnSnapshot(s)
@@ -395,8 +391,8 @@ func (b *Bus) Finalize(end sim.Time) (*RunObs, error) {
 		b.next += b.cadence
 	}
 	final := b.build(end, b.tick)
-	if b.enc != nil {
-		b.put(streamLine{Type: "final", Snapshot: final})
+	if b.out != nil {
+		b.out.Put("final", final)
 	}
 	ro := &RunObs{
 		Meta:       b.cfg.Meta,
@@ -406,8 +402,7 @@ func (b *Bus) Finalize(end sim.Time) (*RunObs, error) {
 		Snapshots:  append([]*Snapshot(nil), b.ring...),
 		Final:      final,
 	}
-	b.flush()
-	return ro, b.werr
+	return ro, b.flush()
 }
 
 // WriteHealth appends the trailing health line to the stream (no-op
@@ -416,27 +411,16 @@ func (b *Bus) WriteHealth(h *Health) error {
 	if b == nil {
 		return nil
 	}
-	if b.enc != nil && h != nil {
-		b.put(streamLine{Type: "health", Health: h})
-		b.flush()
+	if b.out != nil && h != nil {
+		b.out.Put("health", h)
 	}
-	return b.werr
+	return b.flush()
 }
 
-func (b *Bus) put(l streamLine) {
-	if b.werr != nil {
-		return
+// flush writes the stream through and reports its first error.
+func (b *Bus) flush() error {
+	if b.out == nil {
+		return nil
 	}
-	if err := b.enc.Encode(l); err != nil {
-		b.werr = err
-	}
-}
-
-func (b *Bus) flush() {
-	if b.bw == nil {
-		return
-	}
-	if err := b.bw.Flush(); err != nil && b.werr == nil {
-		b.werr = err
-	}
+	return b.out.Flush()
 }

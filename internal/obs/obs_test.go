@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"lfm/internal/artifact"
 	"lfm/internal/sim"
 )
 
@@ -524,7 +525,7 @@ func TestBusServeTruth(t *testing.T) {
 // TestReadStreamVersion checks the schema_version contract: current
 // streams carry StreamVersion and round-trip, version-0 (pre-versioning)
 // streams still parse, and a stream from a newer writer is refused with a
-// typed *StreamVersionError instead of being misparsed.
+// typed *artifact.Error (bad-version) instead of being misparsed.
 func TestReadStreamVersion(t *testing.T) {
 	var buf bytes.Buffer
 	eng, b, truth := stubBus(t, &Config{Cadence: 1 * sim.Second, Stream: &buf})
@@ -548,8 +549,8 @@ func TestReadStreamVersion(t *testing.T) {
 
 	future := `{"type":"meta","meta":{"schema_version":99,"cadence":1,"ring_cap":8}}` + "\n"
 	_, err = ReadStream(strings.NewReader(future))
-	var ve *StreamVersionError
-	if !errors.As(err, &ve) || ve.Version != 99 {
-		t.Fatalf("future stream error = %v, want *StreamVersionError{99}", err)
+	var ve *artifact.Error
+	if !errors.As(err, &ve) || ve.Reason != artifact.BadVersion || ve.Version != 99 {
+		t.Fatalf("future stream error = %v, want a bad-version *artifact.Error refusing 99", err)
 	}
 }

@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 
+	"lfm/internal/artifact"
 	"lfm/internal/metrics"
 	"lfm/internal/sim"
 )
@@ -125,29 +123,21 @@ type RunObs struct {
 	Final      *Snapshot   `json:"final"`
 }
 
-// streamLine is the envelope of one JSONL stream line. Type is one of
-// "meta", "snapshot", "final", "health"; exactly one other field is set.
-type streamLine struct {
-	Type     string    `json:"type"`
-	Meta     *metaLine `json:"meta,omitempty"`
-	Snapshot *Snapshot `json:"snapshot,omitempty"`
-	Health   *Health   `json:"health,omitempty"`
-}
-
 // StreamVersion is the obs JSONL stream schema version, stamped on the
 // meta line. Readers accept any version up to it (absent means 0, the
 // pre-versioning format) and refuse newer streams with a typed
-// *StreamVersionError.
+// *artifact.Error.
 const StreamVersion = 1
 
-// StreamVersionError reports a stream written by a newer schema than this
-// reader understands.
-type StreamVersionError struct {
-	Version int
-}
-
-func (e *StreamVersionError) Error() string {
-	return fmt.Sprintf("obs: stream schema version %d, reader supports <= %d", e.Version, StreamVersion)
+// streamFormat is the stream's container policy: "type"-tagged lines led
+// by the meta line — "snapshot" lines, then "final" (its payload under
+// "snapshot") and "health". Unknown types are skipped so the format can
+// grow.
+var streamFormat = &artifact.Format{
+	Name: "obs stream", Tag: "type",
+	Header: "meta", VersionKey: "schema_version", Version: StreamVersion,
+	Keys:        map[string]string{"final": "snapshot"},
+	SkipUnknown: true,
 }
 
 type metaLine struct {
@@ -184,51 +174,23 @@ func (s *Stream) RunObs() *RunObs {
 	return ro
 }
 
-// ReadStream parses one obs JSONL stream. Unknown line types are skipped
-// so the format can grow.
+// ReadStream parses one obs JSONL stream; every failure is a typed
+// *artifact.Error.
 func ReadStream(r io.Reader) (*Stream, error) {
 	out := &Stream{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	lineNo := 0
-	sawMeta := false
-	for sc.Scan() {
-		lineNo++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var l streamLine
-		if err := json.Unmarshal(raw, &l); err != nil {
-			return nil, fmt.Errorf("obs: line %d: %w", lineNo, err)
-		}
-		switch l.Type {
-		case "meta":
-			if l.Meta != nil {
-				if l.Meta.SchemaVersion > StreamVersion {
-					return nil, &StreamVersionError{Version: l.Meta.SchemaVersion}
-				}
-				out.SchemaVersion = l.Meta.SchemaVersion
-				out.Meta = l.Meta.StreamMeta
-				out.Cadence = l.Meta.Cadence
-				out.RingCap = l.Meta.RingCap
-			}
-			sawMeta = true
-		case "snapshot":
-			if l.Snapshot != nil {
-				out.Snapshots = append(out.Snapshots, l.Snapshot)
-			}
-		case "final":
-			out.Final = l.Snapshot
-		case "health":
-			out.Health = l.Health
-		}
-	}
-	if err := sc.Err(); err != nil {
+	err := streamFormat.Read(r, artifact.Handlers{
+		"meta": artifact.Into(func(m *metaLine) {
+			out.SchemaVersion = m.SchemaVersion
+			out.Meta = m.StreamMeta
+			out.Cadence = m.Cadence
+			out.RingCap = m.RingCap
+		}),
+		"snapshot": artifact.Into(func(s *Snapshot) { out.Snapshots = append(out.Snapshots, s) }),
+		"final":    artifact.Into(func(s *Snapshot) { out.Final = s }),
+		"health":   artifact.Into(func(h *Health) { out.Health = h }),
+	})
+	if err != nil {
 		return nil, err
-	}
-	if !sawMeta && len(out.Snapshots) == 0 && out.Final == nil {
-		return nil, fmt.Errorf("obs: no recognizable stream lines")
 	}
 	return out, nil
 }

@@ -10,22 +10,19 @@
 // -archive` and `lfmbench -archive-out`, committed as baselines under
 // baselines/, and read back standalone by `lfmdiff`.
 //
-// The container follows the scenario-trace conventions (see
-// internal/scenario/trace.go and DESIGN.md §15): every line is one envelope
-// object {"kind": "...", "<kind>": {...}}, the first line is the header and
-// the last the footer, readers accept any version up to SchemaVersion and
-// refuse newer versions with a typed *ArchiveError. Output is
+// The container is an internal/artifact envelope stream (DESIGN.md,
+// "Artifact containers"): "kind"-tagged lines, the first the header and
+// the last the footer; readers accept versions 1..SchemaVersion and refuse
+// others with a typed *artifact.Error. Output is
 // byte-deterministic for a seed: the writer zeroes the scheduler wall-clock
 // nanos (the only hardware-noise field) unless explicitly told to keep
 // them, so two same-seed archives are byte-identical.
 package runarchive
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
-	"fmt"
 
+	"lfm/internal/artifact"
 	"lfm/internal/core"
 	"lfm/internal/obs"
 	"lfm/internal/sim"
@@ -44,35 +41,16 @@ const (
 	ToolVersion   = "lfm-0.10"
 )
 
-// ArchiveError reasons.
-const (
-	// BadFormat: the file is not an lfm run archive at all.
-	BadFormat = "bad-format"
-	// BadVersion: the archive was written by a newer schema version.
-	BadVersion = "bad-version"
-	// Corrupt: the container parses as the right format but its contents
-	// are inconsistent (bad JSON, missing footer, count mismatches).
-	Corrupt = "corrupt"
-)
-
-// ArchiveError is the typed error for every way an archive can fail to
-// load, so callers can distinguish "not an archive" from "newer schema"
-// from "damaged file" without string matching.
-type ArchiveError struct {
-	// Reason is one of the reason constants above.
-	Reason string
-	// Line is the 1-based offending line, 0 when not line-specific.
-	Line int
-	// Detail is the human-readable specifics.
-	Detail string
-}
-
-// Error implements error.
-func (e *ArchiveError) Error() string {
-	if e.Line > 0 {
-		return fmt.Sprintf("archive: %s at line %d: %s", e.Reason, e.Line, e.Detail)
-	}
-	return fmt.Sprintf("archive: %s: %s", e.Reason, e.Detail)
+// format is the archive's container policy: "kind"-tagged lines between
+// a versioned header and a footer; an unknown kind from a same-or-older
+// version is corruption (a newer writer would have bumped the version and
+// been refused).
+var format = &artifact.Format{
+	Name: "archive", Tag: "kind",
+	Header: "header", Magic: Format, VersionKey: "version",
+	MinVersion: 1, Version: SchemaVersion,
+	Footer: "footer",
+	Keys:   map[string]string{"final": "snapshot"},
 }
 
 // Header is the first line: the format tag, the writing tool, the run's
@@ -143,21 +121,6 @@ type Archive struct {
 	Events []wq.Event
 }
 
-// archiveLine is the per-line envelope: exactly one payload field per Kind.
-type archiveLine struct {
-	Kind       string                  `json:"kind"`
-	Header     *Header                 `json:"header,omitempty"`
-	Summary    *core.RunSummary        `json:"summary,omitempty"`
-	Sched      *wq.SchedStats          `json:"sched,omitempty"`
-	Obs        *obsInfo                `json:"obs,omitempty"`
-	Snapshot   *obs.Snapshot           `json:"snapshot,omitempty"`
-	Profile    *tseries.ProfileSummary `json:"profile,omitempty"`
-	Bottleneck *trace.Bucket           `json:"bottleneck,omitempty"`
-	Phase      *trace.PhaseShare       `json:"phase,omitempty"`
-	Event      *wq.Event               `json:"event,omitempty"`
-	Footer     *Footer                 `json:"footer,omitempty"`
-}
-
 // BuildOptions parameterize Build.
 type BuildOptions struct {
 	// Scenario names the archived scenario run (empty for ad-hoc runs).
@@ -215,9 +178,7 @@ func Build(out *core.Outcome, cfg core.ScenarioConfig, opt BuildOptions) *Archiv
 // identical archives.
 func Write(a *Archive) ([]byte, error) {
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	emit := func(l archiveLine) error { return enc.Encode(l) }
-
+	w := format.NewWriter(&buf)
 	hdr := a.Header
 	if hdr.Format == "" {
 		hdr.Format = Format
@@ -225,203 +186,100 @@ func Write(a *Archive) ([]byte, error) {
 	if hdr.Version == 0 {
 		hdr.Version = SchemaVersion
 	}
-	if err := emit(archiveLine{Kind: "header", Header: &hdr}); err != nil {
-		return nil, err
-	}
+	w.Put("header", &hdr)
 	if a.Summary != nil {
-		if err := emit(archiveLine{Kind: "summary", Summary: a.Summary}); err != nil {
-			return nil, err
-		}
+		w.Put("summary", a.Summary)
 	}
 	if a.Sched != nil {
-		if err := emit(archiveLine{Kind: "sched", Sched: a.Sched}); err != nil {
-			return nil, err
-		}
+		w.Put("sched", a.Sched)
 	}
 	snapshots := 0
 	if a.Obs != nil {
-		if err := emit(archiveLine{Kind: "obs", Obs: &obsInfo{
+		w.Put("obs", &obsInfo{
 			Meta: a.Obs.Meta, Cadence: a.Obs.Cadence,
 			Boundaries: a.Obs.Boundaries, Stride: a.Obs.Stride,
-		}}); err != nil {
-			return nil, err
-		}
+		})
 		for _, s := range a.Obs.Snapshots {
-			if err := emit(archiveLine{Kind: "snapshot", Snapshot: s}); err != nil {
-				return nil, err
-			}
-			snapshots++
+			w.Put("snapshot", s)
 		}
+		snapshots = len(a.Obs.Snapshots)
 		if a.Obs.Final != nil {
-			if err := emit(archiveLine{Kind: "final", Snapshot: a.Obs.Final}); err != nil {
-				return nil, err
-			}
+			w.Put("final", a.Obs.Final)
 		}
 	}
 	for _, p := range a.Profiles {
-		if err := emit(archiveLine{Kind: "profile", Profile: p}); err != nil {
-			return nil, err
-		}
+		w.Put("profile", p)
 	}
 	for i := range a.Bottlenecks {
-		if err := emit(archiveLine{Kind: "bottleneck", Bottleneck: &a.Bottlenecks[i]}); err != nil {
-			return nil, err
-		}
+		w.Put("bottleneck", &a.Bottlenecks[i])
 	}
 	for i := range a.Phases {
-		if err := emit(archiveLine{Kind: "phase", Phase: &a.Phases[i]}); err != nil {
-			return nil, err
-		}
+		w.Put("phase", &a.Phases[i])
 	}
 	for i := range a.Events {
-		if err := emit(archiveLine{Kind: "event", Event: &a.Events[i]}); err != nil {
-			return nil, err
-		}
+		w.Put("event", &a.Events[i])
 	}
-	if err := emit(archiveLine{Kind: "footer", Footer: &Footer{
-		Snapshots: snapshots, Events: len(a.Events), Digest: hdr.Digest,
-	}}); err != nil {
+	w.Put("footer", &Footer{Snapshots: snapshots, Events: len(a.Events), Digest: hdr.Digest})
+	if err := w.Flush(); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
 // Read parses and validates an archive; every failure is a typed
-// *ArchiveError.
+// *artifact.Error.
 func Read(data []byte) (*Archive, error) {
-	if len(bytes.TrimSpace(data)) == 0 {
-		return nil, &ArchiveError{Reason: BadFormat, Detail: "empty file"}
-	}
 	a := &Archive{}
 	var oi *obsInfo
 	var snaps []*obs.Snapshot
 	var final *obs.Snapshot
 	var footer *Footer
-	sawHeader := false
-
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	n := 0
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		n++
-		if len(line) == 0 {
-			continue
-		}
-		var l archiveLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			if !sawHeader {
-				return nil, &ArchiveError{Reason: BadFormat, Line: n, Detail: "not JSONL: " + err.Error()}
-			}
-			return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: err.Error()}
-		}
-		if !sawHeader {
-			if l.Kind != "header" || l.Header == nil {
-				return nil, &ArchiveError{Reason: BadFormat, Line: n, Detail: "first line is not an archive header"}
-			}
-			h := l.Header
-			if h.Format != Format {
-				return nil, &ArchiveError{Reason: BadFormat, Line: n,
-					Detail: fmt.Sprintf("format %q, want %q", h.Format, Format)}
-			}
-			if h.Version > SchemaVersion || h.Version < 1 {
-				return nil, &ArchiveError{Reason: BadVersion, Line: n,
-					Detail: fmt.Sprintf("archive version %d, reader supports <= %d", h.Version, SchemaVersion)}
-			}
-			a.Header = *h
-			sawHeader = true
-			continue
-		}
-		if footer != nil {
-			return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "content after footer"}
-		}
-		switch l.Kind {
-		case "summary":
-			if l.Summary == nil {
-				return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "summary line without payload"}
-			}
-			a.Summary = l.Summary
-		case "sched":
-			if l.Sched == nil {
-				return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "sched line without payload"}
-			}
-			a.Sched = l.Sched
-		case "obs":
-			if l.Obs == nil {
-				return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "obs line without payload"}
-			}
-			oi = l.Obs
-		case "snapshot":
-			if l.Snapshot == nil {
-				return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "snapshot line without payload"}
-			}
-			snaps = append(snaps, l.Snapshot)
-		case "final":
-			if l.Snapshot == nil {
-				return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "final line without snapshot payload"}
-			}
-			final = l.Snapshot
-		case "profile":
-			if l.Profile == nil {
-				return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "profile line without payload"}
-			}
-			a.Profiles = append(a.Profiles, l.Profile)
-		case "bottleneck":
-			if l.Bottleneck == nil {
-				return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "bottleneck line without payload"}
-			}
-			a.Bottlenecks = append(a.Bottlenecks, *l.Bottleneck)
-		case "phase":
-			if l.Phase == nil {
-				return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "phase line without payload"}
-			}
-			a.Phases = append(a.Phases, *l.Phase)
-		case "event":
-			if l.Event == nil {
-				return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "event line without payload"}
-			}
-			a.Events = append(a.Events, *l.Event)
-		case "footer":
-			if l.Footer == nil {
-				return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "footer line without payload"}
-			}
-			footer = l.Footer
-		default:
-			// Unknown kinds from same-or-older versions are corruption; a
-			// newer writer would have bumped the version and been refused
-			// above.
-			return nil, &ArchiveError{Reason: Corrupt, Line: n, Detail: "unknown line kind " + l.Kind}
-		}
+	err := format.Read(bytes.NewReader(data), artifact.Handlers{
+		"header":     artifact.Into(func(h *Header) { a.Header = *h }),
+		"summary":    artifact.Into(func(s *core.RunSummary) { a.Summary = s }),
+		"sched":      artifact.Into(func(s *wq.SchedStats) { a.Sched = s }),
+		"obs":        artifact.Into(func(o *obsInfo) { oi = o }),
+		"snapshot":   artifact.Into(func(s *obs.Snapshot) { snaps = append(snaps, s) }),
+		"final":      artifact.Into(func(s *obs.Snapshot) { final = s }),
+		"profile":    artifact.Into(func(p *tseries.ProfileSummary) { a.Profiles = append(a.Profiles, p) }),
+		"bottleneck": artifact.Into(func(b *trace.Bucket) { a.Bottlenecks = append(a.Bottlenecks, *b) }),
+		"phase":      artifact.Into(func(p *trace.PhaseShare) { a.Phases = append(a.Phases, *p) }),
+		"event":      artifact.Into(func(e *wq.Event) { a.Events = append(a.Events, *e) }),
+		"footer":     artifact.Into(func(f *Footer) { footer = f }),
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, &ArchiveError{Reason: Corrupt, Detail: err.Error()}
+	corrupt := func(detail string, args ...any) (*Archive, error) {
+		return nil, format.Errorf(artifact.Corrupt, detail, args...)
 	}
-	if footer == nil {
-		return nil, &ArchiveError{Reason: Corrupt, Detail: "missing footer (truncated archive)"}
+	switch {
+	case len(snaps) != footer.Snapshots:
+		return corrupt("%d snapshot lines, footer says %d", len(snaps), footer.Snapshots)
+	case len(a.Events) != footer.Events:
+		return corrupt("%d event lines, footer says %d", len(a.Events), footer.Events)
+	case footer.Digest != a.Header.Digest:
+		return corrupt("footer digest %q != header digest %q", footer.Digest, a.Header.Digest)
+	case a.Summary == nil:
+		return corrupt("archive has no summary line")
+	case oi == nil && (len(snaps) > 0 || final != nil):
+		return corrupt("snapshot lines without an obs line")
+	case oi == nil:
+		return a, nil
+	case final == nil:
+		return corrupt("obs section without a final line")
+	case !(oi.Cadence > 0) || oi.Stride < 1:
+		return corrupt("obs cadence %v and stride %d, want cadence > 0 and stride >= 1", oi.Cadence, oi.Stride)
+	case final.At > sim.Time(len(snaps)+1)*oi.Cadence*sim.Time(oi.Stride):
+		// The diff engine resamples on a grid of Cadence×Stride steps up
+		// to the final snapshot; a final this far past the retained ring
+		// could not come from a bus, and would make that grid unbounded.
+		return corrupt("final snapshot at %v lies past %d snapshots of %v×%d", final.At, len(snaps), oi.Cadence, oi.Stride)
 	}
-	if len(snaps) != footer.Snapshots {
-		return nil, &ArchiveError{Reason: Corrupt,
-			Detail: fmt.Sprintf("%d snapshot lines, footer says %d", len(snaps), footer.Snapshots)}
-	}
-	if len(a.Events) != footer.Events {
-		return nil, &ArchiveError{Reason: Corrupt,
-			Detail: fmt.Sprintf("%d event lines, footer says %d", len(a.Events), footer.Events)}
-	}
-	if footer.Digest != a.Header.Digest {
-		return nil, &ArchiveError{Reason: Corrupt,
-			Detail: fmt.Sprintf("footer digest %q != header digest %q", footer.Digest, a.Header.Digest)}
-	}
-	if a.Summary == nil {
-		return nil, &ArchiveError{Reason: Corrupt, Detail: "archive has no summary line"}
-	}
-	if oi != nil {
-		a.Obs = &obs.RunObs{
-			Meta: oi.Meta, Cadence: oi.Cadence,
-			Boundaries: oi.Boundaries, Stride: oi.Stride,
-			Snapshots: snaps, Final: final,
-		}
-	} else if len(snaps) > 0 || final != nil {
-		return nil, &ArchiveError{Reason: Corrupt, Detail: "snapshot lines without an obs line"}
+	a.Obs = &obs.RunObs{
+		Meta: oi.Meta, Cadence: oi.Cadence,
+		Boundaries: oi.Boundaries, Stride: oi.Stride,
+		Snapshots: snaps, Final: final,
 	}
 	return a, nil
 }

@@ -2,10 +2,12 @@ package runarchive_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
 
+	"lfm/internal/artifact"
 	"lfm/internal/core"
 	"lfm/internal/obs"
 	"lfm/internal/runarchive"
@@ -102,12 +104,12 @@ func TestArchiveByteDeterminism(t *testing.T) {
 	}
 }
 
-// wantArchiveError asserts err is an *ArchiveError with the given reason.
+// wantArchiveError asserts err is an *artifact.Error with the given reason.
 func wantArchiveError(t *testing.T, err error, reason string) {
 	t.Helper()
-	var ae *runarchive.ArchiveError
+	var ae *artifact.Error
 	if !errors.As(err, &ae) {
-		t.Fatalf("got %v, want *ArchiveError", err)
+		t.Fatalf("got %v, want *artifact.Error", err)
 	}
 	if ae.Reason != reason {
 		t.Fatalf("reason %q, want %q (err: %v)", ae.Reason, reason, err)
@@ -124,23 +126,23 @@ func TestArchiveReadErrors(t *testing.T) {
 
 	t.Run("empty", func(t *testing.T) {
 		_, err := runarchive.Read(nil)
-		wantArchiveError(t, err, runarchive.BadFormat)
+		wantArchiveError(t, err, artifact.BadFormat)
 	})
 	t.Run("not-jsonl", func(t *testing.T) {
 		_, err := runarchive.Read([]byte("definitely not json\n"))
-		wantArchiveError(t, err, runarchive.BadFormat)
+		wantArchiveError(t, err, artifact.BadFormat)
 	})
 	t.Run("wrong-format-tag", func(t *testing.T) {
 		_, err := runarchive.Read([]byte(`{"kind":"header","header":{"format":"something-else","version":1}}` + "\n"))
-		wantArchiveError(t, err, runarchive.BadFormat)
+		wantArchiveError(t, err, artifact.BadFormat)
 	})
 	t.Run("newer-version", func(t *testing.T) {
 		_, err := runarchive.Read([]byte(`{"kind":"header","header":{"format":"lfm-run-archive","version":99}}` + "\n"))
-		wantArchiveError(t, err, runarchive.BadVersion)
+		wantArchiveError(t, err, artifact.BadVersion)
 	})
 	t.Run("truncated", func(t *testing.T) {
 		_, err := runarchive.Read([]byte(strings.Join(lines[:len(lines)-1], "\n") + "\n"))
-		wantArchiveError(t, err, runarchive.Corrupt)
+		wantArchiveError(t, err, artifact.Corrupt)
 	})
 	t.Run("snapshot-count-mismatch", func(t *testing.T) {
 		// Drop one snapshot line but keep the footer.
@@ -157,17 +159,84 @@ func TestArchiveReadErrors(t *testing.T) {
 			t.Fatal("no snapshot line to drop")
 		}
 		_, err := runarchive.Read([]byte(strings.Join(kept, "\n") + "\n"))
-		wantArchiveError(t, err, runarchive.Corrupt)
+		wantArchiveError(t, err, artifact.Corrupt)
 	})
 	t.Run("content-after-footer", func(t *testing.T) {
 		_, err := runarchive.Read([]byte(string(data) + lines[1] + "\n"))
-		wantArchiveError(t, err, runarchive.Corrupt)
+		wantArchiveError(t, err, artifact.Corrupt)
+	})
+	t.Run("no-final", func(t *testing.T) {
+		_, err := runarchive.Read(edit(t, lines, "final", nil))
+		wantArchiveError(t, err, artifact.Corrupt)
+	})
+	t.Run("zero-cadence", func(t *testing.T) {
+		_, err := runarchive.Read(edit(t, lines, "obs", func(m map[string]any) { m["cadence"] = 0 }))
+		wantArchiveError(t, err, artifact.Corrupt)
+	})
+	t.Run("zero-stride", func(t *testing.T) {
+		_, err := runarchive.Read(edit(t, lines, "obs", func(m map[string]any) { m["stride"] = 0 }))
+		wantArchiveError(t, err, artifact.Corrupt)
+	})
+	t.Run("final-past-grid", func(t *testing.T) {
+		// A final snapshot far past the retained ring would make the diff
+		// engine's resampling grid unbounded.
+		_, err := runarchive.Read(edit(t, lines, "final", func(m map[string]any) { m["at"] = 1e12 }))
+		wantArchiveError(t, err, artifact.Corrupt)
+	})
+	t.Run("null-payload", func(t *testing.T) {
+		_, err := runarchive.Read(edit(t, lines, "summary", func(m map[string]any) {
+			for k := range m {
+				delete(m, k)
+			}
+		}))
+		wantArchiveError(t, err, artifact.Corrupt)
 	})
 	t.Run("unknown-kind", func(t *testing.T) {
 		bad := lines[0] + "\n" + `{"kind":"mystery"}` + "\n" + strings.Join(lines[1:], "\n") + "\n"
 		_, err := runarchive.Read([]byte(bad))
-		wantArchiveError(t, err, runarchive.Corrupt)
+		wantArchiveError(t, err, artifact.Corrupt)
 	})
+}
+
+// edit rewrites the first line of the given kind: a nil fn drops the line,
+// otherwise fn edits its payload object (an emptied payload is written as
+// null).
+func edit(t *testing.T, lines []string, kind string, fn func(map[string]any)) []byte {
+	t.Helper()
+	var out []string
+	done := false
+	for _, l := range lines {
+		var env map[string]any
+		if err := json.Unmarshal([]byte(l), &env); err != nil {
+			t.Fatal(err)
+		}
+		if done || env["kind"] != kind {
+			out = append(out, l)
+			continue
+		}
+		done = true
+		if fn == nil {
+			continue
+		}
+		key := kind
+		if kind == "final" {
+			key = "snapshot"
+		}
+		payload := env[key].(map[string]any)
+		fn(payload)
+		if len(payload) == 0 {
+			env[key] = nil
+		}
+		b, err := json.Marshal(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(b))
+	}
+	if !done {
+		t.Fatalf("no %s line", kind)
+	}
+	return []byte(strings.Join(out, "\n") + "\n")
 }
 
 func TestArchiveWallNanosZeroed(t *testing.T) {

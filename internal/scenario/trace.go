@@ -1,14 +1,13 @@
 package scenario
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sort"
 
+	"lfm/internal/artifact"
 	"lfm/internal/core"
 	"lfm/internal/monitor"
 	"lfm/internal/sim"
@@ -25,12 +24,12 @@ import (
 // the generator that produced it, and is byte-identical to the recording
 // run (see DESIGN.md §14 for the determinism argument).
 //
-// Every line is one envelope object {"kind": "...", "<kind>": {...}}. The
-// first line is the header, the last the footer; files, tasks, and
-// per-tenant arrival streams sit between. Readers accept any version up to
-// TraceVersion (forward compatibility: new versions may add line kinds or
-// fields, which old traces simply lack) and refuse newer versions with a
-// typed *TraceError rather than misreading them.
+// The container is an internal/artifact envelope stream (DESIGN.md,
+// "Artifact containers"): "kind"-tagged lines, the header first and the
+// footer last, with files, tasks, and per-tenant arrival streams between.
+// Readers accept versions 1..TraceVersion (new versions may add line kinds
+// or fields, which old traces simply lack) and refuse others with a typed
+// *artifact.Error rather than misreading them.
 
 // TraceFormat and TraceVersion identify the trace container. Bump
 // TraceVersion when the schema changes shape; never reuse a version.
@@ -39,39 +38,13 @@ const (
 	TraceVersion = 1
 )
 
-// TraceError reasons.
-const (
-	// TraceBadFormat: the file is not an lfm scenario trace at all.
-	TraceBadFormat = "bad-format"
-	// TraceBadVersion: the trace was written by a newer schema version.
-	TraceBadVersion = "bad-version"
-	// TraceCorrupt: the container parses as the right format but its
-	// contents are inconsistent (bad JSON, dangling references, missing
-	// footer, count mismatches).
-	TraceCorrupt = "corrupt"
-	// TraceDigestMismatch: the replayed run did not reproduce the recorded
-	// outcome digest.
-	TraceDigestMismatch = "digest-mismatch"
-)
-
-// TraceError is the typed error for every way a trace can fail to load or
-// verify, so callers can distinguish "not a trace" from "damaged trace"
-// from "replay diverged" without string matching.
-type TraceError struct {
-	// Reason is one of the Trace* reason constants.
-	Reason string
-	// Line is the 1-based offending line, 0 when not line-specific.
-	Line int
-	// Detail is the human-readable specifics.
-	Detail string
-}
-
-// Error implements error.
-func (e *TraceError) Error() string {
-	if e.Line > 0 {
-		return fmt.Sprintf("trace: %s at line %d: %s", e.Reason, e.Line, e.Detail)
-	}
-	return fmt.Sprintf("trace: %s: %s", e.Reason, e.Detail)
+// traceFormat is the trace's container policy; like the run archive, an
+// unknown kind from a same-or-older version is corruption.
+var traceFormat = &artifact.Format{
+	Name: "trace", Tag: "kind",
+	Header: "header", Magic: TraceFormat, VersionKey: "version",
+	MinVersion: 1, Version: TraceVersion,
+	Footer: "footer",
 }
 
 // TraceHeader is the first line: the format tag, the serializable run
@@ -195,16 +168,6 @@ type TraceFooter struct {
 	Digest   string `json:"digest"`
 }
 
-// traceLine is the per-line envelope: exactly one payload field per Kind.
-type traceLine struct {
-	Kind     string          `json:"kind"`
-	Header   *TraceHeader    `json:"header,omitempty"`
-	File     *TraceFileEntry `json:"file,omitempty"`
-	Task     *TraceTask      `json:"task,omitempty"`
-	Arrivals *TraceArrivals  `json:"arrivals,omitempty"`
-	Footer   *TraceFooter    `json:"footer,omitempty"`
-}
-
 // OutcomeDigest fingerprints a run: a SHA-256 over the deterministic
 // unified summary plus every task's terminal state and lifecycle
 // timestamps (full float64 precision). Two runs with equal digests made the
@@ -300,12 +263,8 @@ func (s *Scenario) Record(seed int64, tr *wq.Trace) (*Result, []byte, error) {
 // encodeTrace serializes the finished recording run.
 func encodeTrace(name string, spec *Spec, out *core.Outcome, recs []*recArrival, offers [][]int) ([]byte, error) {
 	w := spec.Workload
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	emit := func(l traceLine) error { return enc.Encode(l) }
-
+	d := &decoded{}
 	// Unique file table, in first-reference order.
-	var files []*TraceFileEntry
 	seen := map[string]bool{}
 	for _, t := range w.Tasks {
 		for _, f := range t.Inputs {
@@ -313,7 +272,7 @@ func encodeTrace(name string, spec *Spec, out *core.Outcome, recs []*recArrival,
 				continue
 			}
 			seen[f.Name] = true
-			files = append(files, &TraceFileEntry{
+			d.files = append(d.files, &TraceFileEntry{
 				Name: f.Name, SizeBytes: f.SizeBytes,
 				Cacheable: f.Cacheable, UnpackTime: f.UnpackTime,
 			})
@@ -326,19 +285,12 @@ func encodeTrace(name string, spec *Spec, out *core.Outcome, recs []*recArrival,
 		cp.Tenants = append([]TenantShape(nil), spec.Serving.Tenants...)
 		shape = &cp
 	}
-	if err := emit(traceLine{Kind: "header", Header: &TraceHeader{
+	d.header = &TraceHeader{
 		Format: TraceFormat, Version: TraceVersion,
 		Scenario: name, Workload: w.Name,
 		Config: spec.Config, Serving: shape,
 		Guess: w.Guess, OraclePeaks: w.OraclePeaks,
-		Tasks: len(w.Tasks), Files: len(files),
-	}}); err != nil {
-		return nil, err
-	}
-	for _, f := range files {
-		if err := emit(traceLine{Kind: "file", File: f}); err != nil {
-			return nil, err
-		}
+		Tasks: len(w.Tasks), Files: len(d.files),
 	}
 	for _, t := range w.Tasks {
 		tt := &TraceTask{
@@ -348,30 +300,20 @@ func encodeTrace(name string, spec *Spec, out *core.Outcome, recs []*recArrival,
 		for _, f := range t.Inputs {
 			tt.Inputs = append(tt.Inputs, f.Name)
 		}
-		for _, d := range t.DependsOn {
-			tt.Deps = append(tt.Deps, d.ID)
+		for _, dep := range t.DependsOn {
+			tt.Deps = append(tt.Deps, dep.ID)
 		}
-		if err := emit(traceLine{Kind: "task", Task: tt}); err != nil {
-			return nil, err
-		}
+		d.tasks = append(d.tasks, tt)
 	}
 	for i, ra := range recs {
-		if err := emit(traceLine{Kind: "arrivals", Arrivals: &TraceArrivals{
-			Tenant: i, Gaps: ra.gaps, Offers: offers[i],
-		}}); err != nil {
-			return nil, err
-		}
+		d.arrivals = append(d.arrivals, &TraceArrivals{Tenant: i, Gaps: ra.gaps, Offers: offers[i]})
 	}
 	digest, err := OutcomeDigest(out, w.Tasks)
 	if err != nil {
 		return nil, err
 	}
-	if err := emit(traceLine{Kind: "footer", Footer: &TraceFooter{
-		Tasks: len(w.Tasks), Arrivals: len(recs), Digest: digest,
-	}}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	d.footer = &TraceFooter{Tasks: len(w.Tasks), Arrivals: len(recs), Digest: digest}
+	return d.encode()
 }
 
 // decoded is a parsed trace, ready to be materialized into replay specs.
@@ -383,99 +325,53 @@ type decoded struct {
 	footer   *TraceFooter
 }
 
+// encode writes the trace as JSONL: header, files, tasks, arrivals, footer.
+func (d *decoded) encode() ([]byte, error) {
+	var buf bytes.Buffer
+	w := traceFormat.NewWriter(&buf)
+	w.Put("header", d.header)
+	for _, f := range d.files {
+		w.Put("file", f)
+	}
+	for _, t := range d.tasks {
+		w.Put("task", t)
+	}
+	for _, a := range d.arrivals {
+		w.Put("arrivals", a)
+	}
+	w.Put("footer", d.footer)
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // decodeTrace parses and validates the container; every failure is a
-// *TraceError.
+// typed *artifact.Error.
 func decodeTrace(data []byte) (*decoded, error) {
-	if len(bytes.TrimSpace(data)) == 0 {
-		return nil, &TraceError{Reason: TraceBadFormat, Detail: "empty file"}
-	}
 	d := &decoded{}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 1024*1024), 64*1024*1024)
-	n := 0
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		n++
-		if len(line) == 0 {
-			continue
-		}
-		var l traceLine
-		if err := json.Unmarshal(line, &l); err != nil {
-			if d.header == nil {
-				return nil, &TraceError{Reason: TraceBadFormat, Line: n, Detail: "not JSONL: " + err.Error()}
-			}
-			return nil, &TraceError{Reason: TraceCorrupt, Line: n, Detail: err.Error()}
-		}
-		if d.header == nil {
-			if l.Kind != "header" || l.Header == nil {
-				return nil, &TraceError{Reason: TraceBadFormat, Line: n, Detail: "first line is not a trace header"}
-			}
-			h := l.Header
-			if h.Format != TraceFormat {
-				return nil, &TraceError{Reason: TraceBadFormat, Line: n,
-					Detail: fmt.Sprintf("format %q, want %q", h.Format, TraceFormat)}
-			}
-			if h.Version > TraceVersion || h.Version < 1 {
-				return nil, &TraceError{Reason: TraceBadVersion, Line: n,
-					Detail: fmt.Sprintf("trace version %d, reader supports <= %d", h.Version, TraceVersion)}
-			}
-			d.header = h
-			continue
-		}
-		if d.footer != nil {
-			return nil, &TraceError{Reason: TraceCorrupt, Line: n, Detail: "content after footer"}
-		}
-		switch l.Kind {
-		case "file":
-			if l.File == nil {
-				return nil, &TraceError{Reason: TraceCorrupt, Line: n, Detail: "file line without file payload"}
-			}
-			d.files = append(d.files, l.File)
-		case "task":
-			if l.Task == nil {
-				return nil, &TraceError{Reason: TraceCorrupt, Line: n, Detail: "task line without task payload"}
-			}
-			d.tasks = append(d.tasks, l.Task)
-		case "arrivals":
-			if l.Arrivals == nil {
-				return nil, &TraceError{Reason: TraceCorrupt, Line: n, Detail: "arrivals line without payload"}
-			}
-			d.arrivals = append(d.arrivals, l.Arrivals)
-		case "footer":
-			if l.Footer == nil {
-				return nil, &TraceError{Reason: TraceCorrupt, Line: n, Detail: "footer line without payload"}
-			}
-			d.footer = l.Footer
-		default:
-			// Unknown kinds from same-or-older versions are corruption; a
-			// newer writer would have bumped the version and been refused
-			// above.
-			return nil, &TraceError{Reason: TraceCorrupt, Line: n, Detail: "unknown line kind " + l.Kind}
-		}
+	err := traceFormat.Read(bytes.NewReader(data), artifact.Handlers{
+		"header":   artifact.Into(func(h *TraceHeader) { d.header = h }),
+		"file":     artifact.Into(func(f *TraceFileEntry) { d.files = append(d.files, f) }),
+		"task":     artifact.Into(func(t *TraceTask) { d.tasks = append(d.tasks, t) }),
+		"arrivals": artifact.Into(func(a *TraceArrivals) { d.arrivals = append(d.arrivals, a) }),
+		"footer":   artifact.Into(func(f *TraceFooter) { d.footer = f }),
+	})
+	if err != nil {
+		return nil, err
 	}
-	if err := sc.Err(); err != nil {
-		return nil, &TraceError{Reason: TraceCorrupt, Detail: err.Error()}
+	corrupt := func(detail string, args ...any) (*decoded, error) {
+		return nil, traceFormat.Errorf(artifact.Corrupt, detail, args...)
 	}
-	if d.footer == nil {
-		return nil, &TraceError{Reason: TraceCorrupt, Detail: "missing footer (truncated trace)"}
-	}
-	if len(d.tasks) != d.header.Tasks || len(d.tasks) != d.footer.Tasks {
-		return nil, &TraceError{Reason: TraceCorrupt,
-			Detail: fmt.Sprintf("%d task lines, header says %d, footer says %d",
-				len(d.tasks), d.header.Tasks, d.footer.Tasks)}
-	}
-	if len(d.files) != d.header.Files {
-		return nil, &TraceError{Reason: TraceCorrupt,
-			Detail: fmt.Sprintf("%d file lines, header says %d", len(d.files), d.header.Files)}
-	}
-	if len(d.arrivals) != d.footer.Arrivals {
-		return nil, &TraceError{Reason: TraceCorrupt,
-			Detail: fmt.Sprintf("%d arrivals lines, footer says %d", len(d.arrivals), d.footer.Arrivals)}
-	}
-	if d.header.Serving != nil && len(d.arrivals) != len(d.header.Serving.Tenants) {
-		return nil, &TraceError{Reason: TraceCorrupt,
-			Detail: fmt.Sprintf("%d arrivals streams for %d tenants",
-				len(d.arrivals), len(d.header.Serving.Tenants))}
+	switch h, f := d.header, d.footer; {
+	case len(d.tasks) != h.Tasks || len(d.tasks) != f.Tasks:
+		return corrupt("%d task lines, header says %d, footer says %d", len(d.tasks), h.Tasks, f.Tasks)
+	case len(d.files) != h.Files:
+		return corrupt("%d file lines, header says %d", len(d.files), h.Files)
+	case len(d.arrivals) != f.Arrivals:
+		return corrupt("%d arrivals lines, footer says %d", len(d.arrivals), f.Arrivals)
+	case h.Serving != nil && len(d.arrivals) != len(h.Serving.Tenants):
+		return corrupt("%d arrivals streams for %d tenants", len(d.arrivals), len(h.Serving.Tenants))
 	}
 	return d, nil
 }
@@ -496,12 +392,12 @@ type ReplayOutcome struct {
 	Digest         string
 }
 
-// Verify returns a typed *TraceError when the replay diverged from the
-// recorded run.
+// Verify returns a typed *artifact.Error with reason DigestMismatch when
+// the replay diverged from the recorded run.
 func (ro *ReplayOutcome) Verify() error {
 	if ro.Digest != ro.RecordedDigest {
-		return &TraceError{Reason: TraceDigestMismatch,
-			Detail: fmt.Sprintf("replay digest %s != recorded %s", ro.Digest, ro.RecordedDigest)}
+		return traceFormat.Errorf(artifact.DigestMismatch,
+			"replay digest %s != recorded %s", ro.Digest, ro.RecordedDigest)
 	}
 	return nil
 }
@@ -511,7 +407,7 @@ func (ro *ReplayOutcome) Verify() error {
 // verbatim (workloads.TraceReplay) and offers its recorded task sequence,
 // and the chaos schedule from the header re-injects the same faults. The
 // optional tr records the replay's scheduler event stream. Load failures
-// return a typed *TraceError; divergence is reported by Verify, not here.
+// return a typed *artifact.Error; divergence is reported by Verify, not here.
 func ReplayTrace(data []byte, tr *wq.Trace) (*ReplayOutcome, error) {
 	d, err := decodeTrace(data)
 	if err != nil {
@@ -539,14 +435,12 @@ func ReplayTrace(data []byte, tr *wq.Trace) (*ReplayOutcome, error) {
 		for _, name := range tt.Inputs {
 			f, ok := files[name]
 			if !ok {
-				return nil, &TraceError{Reason: TraceCorrupt,
-					Detail: fmt.Sprintf("task %d references unknown file %q", tt.ID, name)}
+				return nil, traceFormat.Errorf(artifact.Corrupt, "task %d references unknown file %q", tt.ID, name)
 			}
 			t.Inputs = append(t.Inputs, f)
 		}
 		if _, dup := byID[t.ID]; dup {
-			return nil, &TraceError{Reason: TraceCorrupt,
-				Detail: fmt.Sprintf("duplicate task id %d", t.ID)}
+			return nil, traceFormat.Errorf(artifact.Corrupt, "duplicate task id %d", t.ID)
 		}
 		byID[t.ID] = t
 		w.Tasks = append(w.Tasks, t)
@@ -557,8 +451,7 @@ func ReplayTrace(data []byte, tr *wq.Trace) (*ReplayOutcome, error) {
 		for _, dep := range tt.Deps {
 			dt, ok := byID[dep]
 			if !ok {
-				return nil, &TraceError{Reason: TraceCorrupt,
-					Detail: fmt.Sprintf("task %d depends on unknown task %d", tt.ID, dep)}
+				return nil, traceFormat.Errorf(artifact.Corrupt, "task %d depends on unknown task %d", tt.ID, dep)
 			}
 			t.DependsOn = append(t.DependsOn, dt)
 		}
@@ -573,15 +466,13 @@ func ReplayTrace(data []byte, tr *wq.Trace) (*ReplayOutcome, error) {
 		for _, ar := range d.arrivals {
 			i := ar.Tenant
 			if i < 0 || i >= len(shape.Tenants) {
-				return nil, &TraceError{Reason: TraceCorrupt,
-					Detail: fmt.Sprintf("arrivals stream for unknown tenant %d", i)}
+				return nil, traceFormat.Errorf(artifact.Corrupt, "arrivals stream for unknown tenant %d", i)
 			}
 			shape.Tenants[i].Arrival = &workloads.TraceReplay{Gaps: ar.Gaps}
 			queue := ar.Offers
 			for _, id := range queue {
 				if _, ok := byID[id]; !ok {
-					return nil, &TraceError{Reason: TraceCorrupt,
-						Detail: fmt.Sprintf("tenant %d offers unknown task %d", i, id)}
+					return nil, traceFormat.Errorf(artifact.Corrupt, "tenant %d offers unknown task %d", i, id)
 				}
 			}
 			pos := 0
@@ -596,8 +487,7 @@ func ReplayTrace(data []byte, tr *wq.Trace) (*ReplayOutcome, error) {
 		}
 		for i := range shape.Tenants {
 			if shape.Tenants[i].Arrival == nil {
-				return nil, &TraceError{Reason: TraceCorrupt,
-					Detail: fmt.Sprintf("tenant %d has no recorded arrivals stream", i)}
+				return nil, traceFormat.Errorf(artifact.Corrupt, "tenant %d has no recorded arrivals stream", i)
 			}
 			if feeds[i] == nil {
 				empty := func() *wq.Task { return nil }

@@ -2,10 +2,10 @@ package tseries
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
+	"lfm/internal/artifact"
 	"lfm/internal/monitor"
 	"lfm/internal/sim"
 )
@@ -109,34 +109,20 @@ func checkPoints(pts []Point, cap, raw int, peak *monitor.Resources) error {
 	return nil
 }
 
-// jsonlLine is the envelope of one exported JSONL line. Type is one of
-// "meta", "profile", "node", "attempt", "anomaly", "util"; exactly one other
-// field is set accordingly. A run is a "meta" line followed by its records;
-// files concatenate runs.
-type jsonlLine struct {
-	Type    string              `json:"type"`
-	Meta    *metaLine           `json:"meta,omitempty"`
-	Profile *ProfileSummary     `json:"profile,omitempty"`
-	Node    *NodeSummary        `json:"node,omitempty"`
-	Attempt *AttemptSummary     `json:"attempt,omitempty"`
-	Anomaly *Anomaly            `json:"anomaly,omitempty"`
-	Util    *UtilizationSummary `json:"util,omitempty"`
-}
-
 // ExportVersion is the telemetry JSONL schema version, stamped on every
 // run's meta line. Readers accept any version up to it (absent means 0,
 // the pre-versioning format) and refuse newer exports with a typed
-// *ExportVersionError.
+// *artifact.Error.
 const ExportVersion = 1
 
-// ExportVersionError reports an export written by a newer schema than this
-// reader understands.
-type ExportVersionError struct {
-	Version int
-}
-
-func (e *ExportVersionError) Error() string {
-	return fmt.Sprintf("tseries: export schema version %d, reader supports <= %d", e.Version, ExportVersion)
+// exportFormat is the export's container policy: "type"-tagged lines, a
+// run being a "meta" line followed by its "profile", "node", "attempt",
+// "anomaly" and "util" records; files concatenate runs. Unknown types are
+// skipped so the format can grow.
+var exportFormat = &artifact.Format{
+	Name: "telemetry export", Tag: "type",
+	Header: "meta", VersionKey: "schema_version", Version: ExportVersion,
+	Concat: true, SkipUnknown: true,
 }
 
 type metaLine struct {
@@ -149,95 +135,41 @@ type metaLine struct {
 // line per profile/node/attempt/anomaly, then the utilization summary.
 // Output is byte-deterministic for identical telemetry.
 func (rt *RunTelemetry) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	put := func(l jsonlLine) error { return enc.Encode(l) }
-	if err := put(jsonlLine{Type: "meta", Meta: &metaLine{SchemaVersion: ExportVersion, RunMeta: rt.Meta, SeriesCap: rt.SeriesCap}}); err != nil {
-		return err
-	}
+	out := exportFormat.NewWriter(w)
+	out.Put("meta", &metaLine{SchemaVersion: ExportVersion, RunMeta: rt.Meta, SeriesCap: rt.SeriesCap})
 	for _, p := range rt.Profiles {
-		if err := put(jsonlLine{Type: "profile", Profile: p}); err != nil {
-			return err
-		}
+		out.Put("profile", p)
 	}
 	for _, n := range rt.Nodes {
-		if err := put(jsonlLine{Type: "node", Node: n}); err != nil {
-			return err
-		}
+		out.Put("node", n)
 	}
 	for i := range rt.Attempts {
-		if err := put(jsonlLine{Type: "attempt", Attempt: &rt.Attempts[i]}); err != nil {
-			return err
-		}
+		out.Put("attempt", &rt.Attempts[i])
 	}
 	for i := range rt.Anomalies {
-		if err := put(jsonlLine{Type: "anomaly", Anomaly: &rt.Anomalies[i]}); err != nil {
-			return err
-		}
+		out.Put("anomaly", &rt.Anomalies[i])
 	}
-	if err := put(jsonlLine{Type: "util", Util: &rt.Util}); err != nil {
-		return err
-	}
-	return bw.Flush()
+	out.Put("util", &rt.Util)
+	return out.Flush()
 }
 
 // ReadJSONL parses a (possibly multi-run) JSONL telemetry stream back into
-// runs. Unknown line types are skipped, so the format can grow.
+// runs; every failure is a typed *artifact.Error.
 func ReadJSONL(r io.Reader) ([]*RunTelemetry, error) {
 	var runs []*RunTelemetry
 	var cur *RunTelemetry
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var l jsonlLine
-		if err := json.Unmarshal(b, &l); err != nil {
-			return nil, fmt.Errorf("tseries: line %d: %w", lineNo, err)
-		}
-		if l.Type == "meta" {
-			if l.Meta != nil && l.Meta.SchemaVersion > ExportVersion {
-				return nil, &ExportVersionError{Version: l.Meta.SchemaVersion}
-			}
-			cur = &RunTelemetry{}
-			if l.Meta != nil {
-				cur.Meta = l.Meta.RunMeta
-				cur.SeriesCap = l.Meta.SeriesCap
-			}
+	err := exportFormat.Read(r, artifact.Handlers{
+		"meta": artifact.Into(func(m *metaLine) {
+			cur = &RunTelemetry{Meta: m.RunMeta, SeriesCap: m.SeriesCap}
 			runs = append(runs, cur)
-			continue
-		}
-		if cur == nil {
-			return nil, fmt.Errorf("tseries: line %d: %q record before any meta line", lineNo, l.Type)
-		}
-		switch l.Type {
-		case "profile":
-			if l.Profile != nil {
-				cur.Profiles = append(cur.Profiles, l.Profile)
-			}
-		case "node":
-			if l.Node != nil {
-				cur.Nodes = append(cur.Nodes, l.Node)
-			}
-		case "attempt":
-			if l.Attempt != nil {
-				cur.Attempts = append(cur.Attempts, *l.Attempt)
-			}
-		case "anomaly":
-			if l.Anomaly != nil {
-				cur.Anomalies = append(cur.Anomalies, *l.Anomaly)
-			}
-		case "util":
-			if l.Util != nil {
-				cur.Util = *l.Util
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+		}),
+		"profile": artifact.Into(func(p *ProfileSummary) { cur.Profiles = append(cur.Profiles, p) }),
+		"node":    artifact.Into(func(n *NodeSummary) { cur.Nodes = append(cur.Nodes, n) }),
+		"attempt": artifact.Into(func(a *AttemptSummary) { cur.Attempts = append(cur.Attempts, *a) }),
+		"anomaly": artifact.Into(func(a *Anomaly) { cur.Anomalies = append(cur.Anomalies, *a) }),
+		"util":    artifact.Into(func(u *UtilizationSummary) { cur.Util = *u }),
+	})
+	if err != nil {
 		return nil, err
 	}
 	return runs, nil

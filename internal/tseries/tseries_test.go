@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"lfm/internal/artifact"
 	"lfm/internal/monitor"
 	"lfm/internal/sim"
 )
@@ -374,7 +375,7 @@ func TestCollectorAnomalies(t *testing.T) {
 // TestExportSchemaVersion checks the telemetry export version contract:
 // current exports stamp ExportVersion on the meta line, version-0
 // (pre-versioning) exports still parse, and an export from a newer writer
-// is refused with a typed *ExportVersionError.
+// is refused with a typed *artifact.Error (bad-version).
 func TestExportSchemaVersion(t *testing.T) {
 	rt := buildRun(t, 7)
 	var buf bytes.Buffer
@@ -392,8 +393,8 @@ func TestExportSchemaVersion(t *testing.T) {
 
 	future := `{"type":"meta","meta":{"schema_version":99,"makespan":1,"series_cap":64}}` + "\n"
 	_, err := ReadJSONL(strings.NewReader(future))
-	var ve *ExportVersionError
-	if !errors.As(err, &ve) || ve.Version != 99 {
-		t.Fatalf("future export error = %v, want *ExportVersionError{99}", err)
+	var ve *artifact.Error
+	if !errors.As(err, &ve) || ve.Reason != artifact.BadVersion || ve.Version != 99 {
+		t.Fatalf("future export error = %v, want a bad-version *artifact.Error refusing 99", err)
 	}
 }

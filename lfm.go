@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"lfm/internal/alloc"
+	"lfm/internal/artifact"
 	"lfm/internal/chaos"
 	"lfm/internal/cluster"
 	"lfm/internal/core"
@@ -445,6 +446,28 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 // (exponential, 0.05s–~27min) used by the built-in instrumentation.
 func MetricsTimeBuckets() []float64 { return metrics.DefTimeBuckets() }
 
+// ---- Artifact containers ----
+
+// ArtifactError is the one typed error every artifact decoder returns —
+// the run archive, the scenario trace, the obs stream and the telemetry
+// export — and replay verification too. Artifact names the container,
+// Reason is one of the Artifact* reasons below, Line the offending line
+// (0 when not line-specific), and Version the refused schema version of
+// an ArtifactBadVersion error.
+type ArtifactError = artifact.Error
+
+// ArtifactError reasons.
+const (
+	// ArtifactBadFormat: the input is not that artifact at all.
+	ArtifactBadFormat = artifact.BadFormat
+	// ArtifactBadVersion: written by a schema version the reader refuses.
+	ArtifactBadVersion = artifact.BadVersion
+	// ArtifactCorrupt: the right artifact, but damaged or inconsistent.
+	ArtifactCorrupt = artifact.Corrupt
+	// ArtifactDigestMismatch: a trace replay diverged from its recording.
+	ArtifactDigestMismatch = artifact.DigestMismatch
+)
+
 // ---- Resource time-series telemetry ----
 
 // TelemetryConfig tunes per-invocation resource time-series capture; attach
@@ -490,16 +513,13 @@ type TelemetryPoint = tseries.Point
 func DefaultTelemetryConfig() *TelemetryConfig { return tseries.DefaultConfig() }
 
 // ReadTelemetry parses a JSONL telemetry export (as written by
-// RunTelemetry.WriteJSONL, possibly several runs concatenated).
+// RunTelemetry.WriteJSONL, possibly several runs concatenated); failures
+// are typed *ArtifactError values.
 func ReadTelemetry(r io.Reader) ([]*RunTelemetry, error) { return tseries.ReadJSONL(r) }
 
 // TelemetryExportVersion is the telemetry JSONL schema version;
-// ReadTelemetry refuses newer exports with *TelemetryExportVersionError.
+// ReadTelemetry refuses newer exports with an ArtifactBadVersion error.
 const TelemetryExportVersion = tseries.ExportVersion
-
-// TelemetryExportVersionError reports a telemetry export written by a
-// newer schema than this reader understands.
-type TelemetryExportVersionError = tseries.ExportVersionError
 
 // ---- Streaming run observability ----
 
@@ -549,16 +569,13 @@ type ObsTop = obs.Top
 // rendered by Outcome.WriteSummaryJSON.
 type RunSummary = core.RunSummary
 
-// ReadObsStream parses an obs JSONL stream written via ObsConfig.Stream.
+// ReadObsStream parses an obs JSONL stream written via ObsConfig.Stream;
+// failures are typed *ArtifactError values.
 func ReadObsStream(r io.Reader) (*ObsStream, error) { return obs.ReadStream(r) }
 
 // ObsStreamVersion is the obs JSONL stream schema version; ReadObsStream
-// refuses newer streams with *ObsStreamVersionError.
+// refuses newer streams with an ArtifactBadVersion error.
 const ObsStreamVersion = obs.StreamVersion
-
-// ObsStreamVersionError reports an obs stream written by a newer schema
-// than this reader understands.
-type ObsStreamVersionError = obs.StreamVersionError
 
 // SummaryVersion is the unified summary document's schema version
 // (RunSummary.SchemaVersion).
@@ -655,11 +672,6 @@ type ScenarioServingShape = scenario.ServingShape
 // ScenarioTenantShape describes one serving tenant of a scenario.
 type ScenarioTenantShape = scenario.TenantShape
 
-// ScenarioTraceError is the typed error for every way a scenario trace can
-// fail to load or verify: bad-format, bad-version, corrupt, or
-// digest-mismatch.
-type ScenarioTraceError = scenario.TraceError
-
 // ScenarioTraceHeader is the first line of a scenario trace: format tag,
 // version, and the serializable run configuration.
 type ScenarioTraceHeader = scenario.TraceHeader
@@ -678,8 +690,9 @@ func ScenarioByName(name string) (*Scenario, error) { return scenario.Get(name) 
 func AllScenarios() []*Scenario { return scenario.All() }
 
 // ReplayScenarioTrace decodes a recorded scenario trace and re-runs it
-// byte-identically; check ScenarioReplay.Verify for divergence. The
-// optional tr records the replay's scheduler event stream.
+// byte-identically; check ScenarioReplay.Verify for divergence
+// (ArtifactDigestMismatch). Load failures are typed *ArtifactError values.
+// The optional tr records the replay's scheduler event stream.
 func ReplayScenarioTrace(data []byte, tr *ExecutionTrace) (*ScenarioReplay, error) {
 	return scenario.ReplayTrace(data, tr)
 }
@@ -761,19 +774,11 @@ func (e *UnknownExperimentError) Error() string {
 // optionally the flat scheduler event stream.
 type RunArchive = runarchive.Archive
 
-// RunArchiveError is the typed error for every way an archive can fail to
-// load; its Reason is one of ArchiveBadFormat/ArchiveBadVersion/
-// ArchiveCorrupt.
-type RunArchiveError = runarchive.ArchiveError
-
 // RunArchiveOptions parameterize BuildRunArchive.
 type RunArchiveOptions = runarchive.BuildOptions
 
-// Archive error reasons and container identity.
+// Archive container identity.
 const (
-	ArchiveBadFormat     = runarchive.BadFormat
-	ArchiveBadVersion    = runarchive.BadVersion
-	ArchiveCorrupt       = runarchive.Corrupt
 	ArchiveFormat        = runarchive.Format
 	ArchiveSchemaVersion = runarchive.SchemaVersion
 )
@@ -789,7 +794,7 @@ func BuildRunArchive(out *Outcome, cfg ScenarioConfig, opt RunArchiveOptions) *R
 func WriteRunArchive(a *RunArchive) ([]byte, error) { return runarchive.Write(a) }
 
 // ReadRunArchive parses and validates an archive; failures are typed
-// *RunArchiveError values.
+// *ArtifactError values.
 func ReadRunArchive(data []byte) (*RunArchive, error) { return runarchive.Read(data) }
 
 // ScenarioArchiveOptions parameterize RunScenarioArchived.
